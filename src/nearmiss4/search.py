@@ -3,10 +3,22 @@
 For each pair min_x <= x <= y <= max_x with s = x^4 + y^4, the z worth
 testing lie in the window [isqrt(s - t), isqrt(s + t)] (t the absolute
 bound on the residual): anything outside misses s by more than t.  Once
-s > t^2 consecutive squares straddling s are more than 2t apart, so the
-window collapses to at most two candidates around isqrt(s); that regime
-is served by a fixed-width int64 fast path, everything else by exact
-big-int arithmetic.  Both paths must agree wherever both apply.
+2*x^4 > t^2 consecutive squares straddling s are more than 2t apart, so
+the window collapses to the two candidates isqrt(s) and isqrt(s) + 1.
+
+That regime is served by one vectorized kernel, one numpy row of y per
+x.  It forms s in int64 and lets it wrap mod 2^64, estimates
+r = isqrt(s) as sqrt(x^4 + y^4) in float64, and forms d = s - r*r, which
+wraps too.  The wrapped d is nevertheless the exact residual: r is off
+by at most one, so the true |s - r^2| is at most 4r + 3, far below 2^63,
+and a value below 2^63 survives reduction mod 2^64 unchanged.  Moving r
+by one where d < 0 or d > 2r then makes r = isqrt(s) exactly.  The float
+estimate errs by at most about r * 2^-52, which stays below one up to
+KERNEL_MAX_X.
+
+The pure-Python window loop serves the rest: the small-s regime
+2*x^4 <= t^2, bounds t above 2^32, max_x above KERNEL_MAX_X, and
+force_exact.  It is the reference the kernel is tested against.
 
 Work is partitioned into interleaved x-stripes across workers and the
 merged result is sorted by (y, x, z), so output is independent of the
@@ -23,12 +35,19 @@ import numpy as np
 
 __all__ = ["SearchConfig", "SearchHit", "scan", "verify_hit"]
 
-# Largest max_x for which s = x^4 + y^4 stays below 2^62, leaving int64
-# headroom for the float-sqrt +/-1 corrections.  Beyond this bound every
-# stripe falls back to exact big-int scanning.
-FAST_PATH_MAX_X = isqrt(isqrt(2**61))
+# Largest max_x the kernel serves.  The float64 tables hold x^4 and y^4
+# to a relative error of 2^-53 each; their sum and the square root add
+# one rounding each, so the estimate of r = sqrt(s) is off by at most
+# about r * 2^-52.  With y <= 2^25, r <= sqrt(2) * 2^50 and that error
+# stays below 0.36, so truncating the estimate lands on isqrt(s) - 1,
+# isqrt(s) or isqrt(s) + 1, which the +/-1 correction repairs.  x^2 <=
+# 2^50 is exact in both tables, so x^4 is rounded once.
+KERNEL_MAX_X = 2**25
 
-_FAST_MAX_BOUND = 2**32  # residual bounds above this skip the fast path
+_KERNEL_MAX_BOUND = 2**32  # residual bounds above this skip the kernel
+
+# Upper bound on worker processes; a pool never exceeds the x-range.
+MAX_WORKERS = 1024
 
 
 @dataclass(frozen=True)
@@ -46,8 +65,10 @@ class SearchConfig:
             raise ValueError(f"need min_x <= max_x, got {self.min_x}..{self.max_x}")
         if self.threshold < 0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {self.workers}")
+        if self.exact_residual is not None and self.threshold != 0:
+            raise ValueError("give either threshold or exact_residual, not both")
 
     @property
     def bound(self) -> int:
@@ -88,53 +109,78 @@ def _scan_x_exact(x: int, cfg: SearchConfig) -> list[_Row]:
     return rows
 
 
-def _scan_x_fast(x: int, pow4: np.ndarray, cfg: SearchConfig) -> list[_Row]:
+def _pow4_tables(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """x^4 mod 2^64 as int64 and x^4 as float64, indexed by x - lo."""
+    x2 = np.arange(lo, hi + 1, dtype=np.int64) ** 2
+    f2 = x2.astype(np.float64)
+    return x2 * x2, f2 * f2
+
+
+def _isqrt_row(i: int, p4: np.ndarray, f4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r = isqrt(s) and d = s - r*r for s = x^4 + y^4 over one kernel row.
+
+    x is table index i and y runs over indices i.. of the tables.
+    """
+    s = p4[i] + p4[i:]  # wraps mod 2^64; numpy arrays wrap without warning
+    r = np.sqrt(f4[i] + f4[i:]).astype(np.int64)
+    d = s - r * r  # exact: |s - r^2| <= 4r + 3 < 2^63
+    # r is too big where d < 0 and too small where s >= (r + 1)^2; the
+    # estimate is rarely off, so only those entries are corrected
+    off = np.flatnonzero((d < 0) | (d > 2 * r))
+    r[off] += np.where(d[off] < 0, -1, 1)
+    d[off] = s[off] - r[off] * r[off]
+    return r, d
+
+
+def _scan_x_kernel(
+    x: int, lo: int, p4: np.ndarray, f4: np.ndarray, cfg: SearchConfig
+) -> list[_Row]:
     # valid only when 2*x^4 > bound^2: then each pair admits at most the
     # two candidates isqrt(s) and isqrt(s) + 1
-    s = pow4[x] + pow4[x:]
-    r = np.sqrt(s.astype(np.float64)).astype(np.int64)
-    r -= r * r > s
-    r += (r + 1) * (r + 1) <= s
+    r, d = _isqrt_row(x - lo, p4, f4)
     rows: list[_Row] = []
-    for z_arr, d_arr in ((r, s - r * r), (r + 1, s - (r + 1) * (r + 1))):
+    for z_arr, d_arr in ((r, d), (r + 1, d - 2 * r - 1)):
         if cfg.exact_residual is not None:
             mask = d_arr == cfg.exact_residual
         else:
             mask = np.abs(d_arr) <= cfg.threshold
-        for i in np.nonzero(mask)[0]:
-            rows.append((x, x + int(i), int(z_arr[i]), int(d_arr[i])))
+        for j in np.nonzero(mask)[0]:
+            rows.append((x, x + int(j), int(z_arr[j]), int(d_arr[j])))
     return rows
 
 
-def _scan_stripe(job: tuple[SearchConfig, int, bool]) -> list[_Row]:
-    cfg, index, force_exact = job
+def _scan_stripe(job: tuple[SearchConfig, int, int, bool]) -> list[_Row]:
+    cfg, index, stride, force_exact = job
     t = cfg.bound
-    use_fast = (
-        not force_exact
-        and cfg.max_x <= FAST_PATH_MAX_X
-        and t <= _FAST_MAX_BOUND
-    )
-    pow4 = np.arange(cfg.max_x + 1, dtype=np.int64) ** 4 if use_fast else None
+    use_kernel = not force_exact and cfg.max_x <= KERNEL_MAX_X and t <= _KERNEL_MAX_BOUND
+    if use_kernel:
+        p4, f4 = _pow4_tables(cfg.min_x, cfg.max_x)
     rows: list[_Row] = []
-    for x in range(cfg.min_x + index, cfg.max_x + 1, cfg.workers):
-        if use_fast and 2 * x**4 > t * t:
-            rows.extend(_scan_x_fast(x, pow4, cfg))
+    for x in range(cfg.min_x + index, cfg.max_x + 1, stride):
+        if use_kernel and 2 * x**4 > t * t:
+            rows.extend(_scan_x_kernel(x, cfg.min_x, p4, f4, cfg))
         else:
             rows.extend(_scan_x_exact(x, cfg))
     return rows
 
 
+def _pool_size(cfg: SearchConfig) -> int:
+    """Worker processes a scan starts: at most one per x in the range."""
+    return min(cfg.workers, cfg.max_x - cfg.min_x + 1)
+
+
 def scan(cfg: SearchConfig, force_exact: bool = False) -> list[SearchHit]:
     """All qualifying hits, each exactly once, sorted by (y, x, z).
 
-    force_exact switches off the int64 fast path; results are identical
+    force_exact switches off the vectorized kernel; results are identical
     either way (asserted by the test suite on overlap ranges).
     """
-    jobs = [(cfg, i, force_exact) for i in range(cfg.workers)]
-    if cfg.workers == 1:
+    workers = _pool_size(cfg)
+    jobs = [(cfg, i, workers, force_exact) for i in range(workers)]
+    if workers == 1:
         chunks = [_scan_stripe(jobs[0])]
     else:
-        with Pool(cfg.workers) as pool:
+        with Pool(workers) as pool:
             chunks = pool.map(_scan_stripe, jobs)
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r[1], r[0], r[2]))

@@ -159,6 +159,13 @@ def test_search_threshold_and_residual_are_exclusive():
     assert exc.value.code == 2
 
 
+def test_search_workers_above_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "search", "--max-x", "10", "--workers", "100000")
+    assert code == 2
+    assert out == ""
+    assert "workers" in err
+
+
 def test_search_invalid_range_is_usage_error(capsys):
     code, _, err = run(capsys, "search", "--min-x", "9", "--max-x", "3")
     assert code == 2

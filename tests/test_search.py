@@ -4,13 +4,20 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import as_tsv, naive_scan
 from nearmiss4.search import (
-    FAST_PATH_MAX_X,
+    KERNEL_MAX_X,
+    MAX_WORKERS,
     SearchConfig,
     SearchHit,
+    _isqrt_row,
+    _pool_size,
+    _pow4_tables,
     scan,
     verify_hit,
 )
@@ -31,6 +38,19 @@ def test_config_validation():
         SearchConfig(max_x=10, threshold=-1)
     with pytest.raises(ValueError):
         SearchConfig(max_x=10, workers=0)
+    with pytest.raises(ValueError):
+        SearchConfig(max_x=10, workers=MAX_WORKERS + 1)
+    with pytest.raises(ValueError):  # ambiguous: which bound applies?
+        SearchConfig(max_x=10, threshold=5, exact_residual=8)
+    assert SearchConfig(max_x=10, workers=MAX_WORKERS).workers == MAX_WORKERS
+    assert SearchConfig(max_x=10, threshold=0, exact_residual=8).bound == 8
+
+
+def test_pool_size_never_exceeds_x_range():
+    assert _pool_size(SearchConfig(max_x=4, min_x=2, workers=8)) == 3
+    assert _pool_size(SearchConfig(max_x=7, min_x=7, workers=MAX_WORKERS)) == 1
+    assert _pool_size(SearchConfig(max_x=100, workers=8)) == 8
+    assert _pool_size(SearchConfig(max_x=10**6, workers=MAX_WORKERS)) == MAX_WORKERS
 
 
 def test_exact_residual_eight_small_range():
@@ -119,9 +139,86 @@ def test_fast_and_exact_paths_agree():
         assert scan(cfg) == scan(cfg, force_exact=True)
 
 
-def test_fast_path_bound_is_int64_safe():
-    assert 2 * FAST_PATH_MAX_X**4 < 2**62
-    assert 2 * (FAST_PATH_MAX_X + 1) ** 4 >= 2**62
+def test_family_member_two_found():
+    # s > 2^63 here: it wraps in int64, yet the kernel residual is exact
+    hits = rows(scan(SearchConfig(min_x=50806, max_x=52967, exact_residual=8)))
+    assert hits == [(50806, 52967, 3812308653, 8)]
+
+
+def test_narrow_high_window_matches_exact():
+    lo, hi = 10_000_000, 10_000_150
+    p4, f4 = _pow4_tables(lo, hi)
+    assert len(p4) == len(f4) == hi - lo + 1  # tables cover the window only
+    cfg = SearchConfig(min_x=lo, max_x=hi, threshold=10**12)
+    hits = scan(cfg)
+    assert hits and hits == scan(cfg, force_exact=True)
+    cfg = SearchConfig(min_x=lo, max_x=hi, exact_residual=8)
+    assert scan(cfg) == scan(cfg, force_exact=True)
+
+
+# x near which s = x^4 + y^4 (y close to x) crosses 2^53, 2^62, 2^63 and
+# 2^64, and the top of the kernel's range
+BOUNDARY_X = (8192, 38968, 46341, 55109, KERNEL_MAX_X)
+
+
+@st.composite
+def boundary_pairs(draw):
+    centre = draw(st.sampled_from(BOUNDARY_X))
+    y = min(centre + draw(st.integers(-30, 30)), KERNEL_MAX_X)
+    return y - draw(st.integers(0, 3)), y
+
+
+@settings(max_examples=200, deadline=None)
+@given(boundary_pairs())
+def test_kernel_row_is_exact_isqrt(pair):
+    x, y = pair
+    p4, f4 = _pow4_tables(x, y)
+    r, d = _isqrt_row(0, p4, f4)
+    for j, (r_j, d_j) in enumerate(zip(r.tolist(), d.tolist())):
+        s = x**4 + (x + j) ** 4
+        assert r_j == math.isqrt(s)
+        assert d_j == s - r_j * r_j
+
+
+@pytest.mark.parametrize("skew", [1 + 2**-41, 1 - 2**-41])
+def test_kernel_repairs_off_by_one_estimates(skew):
+    # below KERNEL_MAX_X the float estimate is rarely off by one, and no
+    # sampled pair had it too low; skewed float tables move sqrt by up to
+    # 0.32 either way, so that the kernel corrects in both directions
+    lo, hi = 1_000_000, 1_000_060
+    p4, f4 = _pow4_tables(lo, hi)
+    f4 = f4 * skew
+    off = 0
+    for i in range(hi - lo + 1):
+        r, d = _isqrt_row(i, p4, f4)
+        estimate = np.sqrt(f4[i] + f4[i:]).astype(np.int64)
+        for j, (r_j, d_j) in enumerate(zip(r.tolist(), d.tolist())):
+            s = (lo + i) ** 4 + (lo + i + j) ** 4
+            assert r_j == math.isqrt(s)
+            assert d_j == s - r_j * r_j
+            off += int(estimate[j]) != r_j
+    assert off > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(boundary_pairs(), st.floats(0, 1))
+def test_kernel_matches_exact_at_boundaries(pair, fraction):
+    x, y = pair
+    s = x**4 + y**4
+    r = math.isqrt(s)
+    nearest = min(s - r * r, s - (r + 1) ** 2, key=abs)
+    # thresholds below isqrt(2 x^4) keep every x of the window in the kernel
+    threshold = int(fraction * math.isqrt(2 * x**4 - 1))
+    for fields in (
+        {"threshold": threshold},
+        {"threshold": abs(nearest)},
+        {"exact_residual": nearest},
+    ):
+        cfg = SearchConfig(min_x=x, max_x=y, **fields)
+        hits = scan(cfg)
+        assert hits == scan(cfg, force_exact=True)
+        if "exact_residual" in fields or fields["threshold"] >= abs(nearest):
+            assert any((h.x, h.y, h.delta) == (x, y, nearest) for h in hits)
 
 
 def test_no_delta_zero_ever():
