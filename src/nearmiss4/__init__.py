@@ -6,7 +6,7 @@ equal via exact coefficient identities, and rediscovered by exhaustive
 scanning.  Everything is exact; no tolerance appears anywhere.
 """
 
-from .exactmath import DiscriminantMismatchError, Integer, QuadElem, Rational, isqrt
+from .exactmath import DiscriminantMismatchError, QuadElem, isqrt
 from .identities import (
     ExpansionTable,
     IdentityCheck,
@@ -39,9 +39,7 @@ __all__ = [
     "ExpansionTable",
     "INITIAL_TRIPLETS",
     "IdentityCheck",
-    "Integer",
     "QuadElem",
-    "Rational",
     "SearchConfig",
     "SearchHit",
     "Triplet",

@@ -15,17 +15,10 @@ from fractions import Fraction
 from math import isqrt
 
 __all__ = [
-    "Integer",
-    "Rational",
     "QuadElem",
     "DiscriminantMismatchError",
     "isqrt",
 ]
-
-# Domain-type aliases: the stdlib already provides exactly the contracts
-# needed (unbounded magnitude, canonical reduced form with den > 0).
-Integer = int
-Rational = Fraction
 
 
 class DiscriminantMismatchError(ValueError):

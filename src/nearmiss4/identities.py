@@ -128,25 +128,25 @@ def _check(name: str, left: QuadElem, right: QuadElem) -> IdentityCheck:
     return IdentityCheck(name, left, right, left == right)
 
 
+# The five named equalities, each the coefficient of one slot: z_n^2
+# (expand_rhs) on the left, x_n^4 + y_n^4 - 8 (expand_lhs) on the right.
+_FIVE = (
+    (4, "e^2 = a^4 + c^4"),
+    (-4, "f^2 = b^4 + d^4"),
+    (2, "2*e*g = 4*a^3*b + 4*c^3*d"),
+    (-2, "2*f*g = 4*a*b^3 + 4*c*d^3"),
+    (0, "2*e*f + g^2 = 6*a^2*b^2 + 6*c^2*d^2 - 8"),
+)
+
+
 def verify_five_identities(constants: ClosedFormConstants) -> list[IdentityCheck]:
     """The five coefficient equalities tying the two expansions together.
 
     A false identity is a result, not an error; both sides are kept
     exactly so a discrepancy stays diagnosable.
     """
-    k = constants
-    g = QuadElem(k.g, 0, k.e.d)
-    return [
-        _check("e^2 = a^4 + c^4", k.e**2, k.a**4 + k.c**4),
-        _check("f^2 = b^4 + d^4", k.f**2, k.b**4 + k.d**4),
-        _check("2*e*g = 4*a^3*b + 4*c^3*d", 2 * k.e * g, 4 * k.a**3 * k.b + 4 * k.c**3 * k.d),
-        _check("2*f*g = 4*a*b^3 + 4*c*d^3", 2 * k.f * g, 4 * k.a * k.b**3 + 4 * k.c * k.d**3),
-        _check(
-            "2*e*f + g^2 = 6*a^2*b^2 + 6*c^2*d^2 - 8",
-            2 * k.e * k.f + g**2,
-            6 * k.a**2 * k.b**2 + 6 * k.c**2 * k.d**2 - 8,
-        ),
-    ]
+    lhs, rhs = expand_lhs(constants).entries, expand_rhs(constants).entries
+    return [_check(name, rhs[slot][0], lhs[slot][0]) for slot, name in _FIVE]
 
 
 def verify_root_identities(constants: ClosedFormConstants) -> list[IdentityCheck]:

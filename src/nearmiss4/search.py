@@ -1,10 +1,11 @@
 """Exhaustive scan for near-solutions of x^4 + y^4 = z^2.
 
-For each pair min_x <= x <= y <= max_x with s = x^4 + y^4, the z worth
-testing lie in the window [isqrt(s - t), isqrt(s + t)] (t the absolute
-bound on the residual): anything outside misses s by more than t.  Once
-2*x^4 > t^2 consecutive squares straddling s are more than 2t apart, so
-the window collapses to the two candidates isqrt(s) and isqrt(s) + 1.
+A hit is a pair min_x <= x <= y <= max_x and a z >= 1 whose residual
+s - z^2, s = x^4 + y^4, lies in the configured window [lo, hi]: (R, R)
+for an exact residual R, (-t, t) for a threshold t.  So the hits of a
+pair are exactly the z with s - hi <= z^2 <= s - lo.  With t = max(-lo,
+hi), once 2*x^4 > t^2 consecutive squares straddling s are more than 2t
+apart, so only the two candidates isqrt(s) and isqrt(s) + 1 can hit.
 
 That regime is served by one vectorized kernel, one numpy row of y per
 x.  It forms s in int64 and lets it wrap mod 2^64, estimates
@@ -17,8 +18,8 @@ estimate errs by at most about r * 2^-52, which stays below one up to
 KERNEL_MAX_X.
 
 The pure-Python window loop serves the rest: the small-s regime
-2*x^4 <= t^2, bounds t above 2^32, max_x above KERNEL_MAX_X, and
-force_exact.  It is the reference the kernel is tested against.
+2*x^4 <= t^2, max_x above KERNEL_MAX_X, and force_exact.  It is the
+reference the kernel is tested against.
 
 Work is partitioned into interleaved x-stripes across workers and the
 merged result is sorted by (y, x, z), so output is independent of the
@@ -43,8 +44,6 @@ __all__ = ["SearchConfig", "SearchHit", "scan", "verify_hit"]
 # isqrt(s) or isqrt(s) + 1, which the +/-1 correction repairs.  x^2 <=
 # 2^50 is exact in both tables, so x^4 is rounded once.
 KERNEL_MAX_X = 2**25
-
-_KERNEL_MAX_BOUND = 2**32  # residual bounds above this skip the kernel
 
 # Upper bound on worker processes; a pool never exceeds the x-range.
 MAX_WORKERS = 1024
@@ -71,16 +70,11 @@ class SearchConfig:
             raise ValueError("give either threshold or exact_residual, not both")
 
     @property
-    def bound(self) -> int:
-        """Absolute residual bound the candidate window must cover."""
+    def window(self) -> tuple[int, int]:
+        """(lo, hi): a residual is a hit iff lo <= residual <= hi."""
         if self.exact_residual is not None:
-            return abs(self.exact_residual)
-        return self.threshold
-
-    def keeps(self, delta: int) -> bool:
-        if self.exact_residual is not None:
-            return delta == self.exact_residual
-        return abs(delta) <= self.threshold
+            return self.exact_residual, self.exact_residual
+        return -self.threshold, self.threshold
 
 
 @dataclass(frozen=True)
@@ -95,17 +89,17 @@ _Row = tuple[int, int, int, int]
 
 
 def _scan_x_exact(x: int, cfg: SearchConfig) -> list[_Row]:
+    # every z with s - hi <= z^2 <= s - lo is a hit, and no other
+    lo, hi = cfg.window
     rows: list[_Row] = []
-    t = cfg.bound
     x4 = x**4
     for y in range(x, cfg.max_x + 1):
         s = x4 + y**4
-        z_lo = max(isqrt(s - t) if s > t else 1, 1)
-        z_hi = isqrt(s + t)
-        for z in range(z_lo, z_hi + 1):
-            delta = s - z * z
-            if cfg.keeps(delta):
-                rows.append((x, y, z, delta))
+        if s < lo:
+            continue
+        z_lo = isqrt(s - hi - 1) + 1 if s > hi else 1
+        for z in range(z_lo, isqrt(s - lo) + 1):
+            rows.append((x, y, z, s - z * z))
     return rows
 
 
@@ -133,17 +127,16 @@ def _isqrt_row(i: int, p4: np.ndarray, f4: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _scan_x_kernel(
-    x: int, lo: int, p4: np.ndarray, f4: np.ndarray, cfg: SearchConfig
+    x: int, x_lo: int, p4: np.ndarray, f4: np.ndarray, cfg: SearchConfig
 ) -> list[_Row]:
-    # valid only when 2*x^4 > bound^2: then each pair admits at most the
-    # two candidates isqrt(s) and isqrt(s) + 1
-    r, d = _isqrt_row(x - lo, p4, f4)
+    # valid only when 2*x^4 > max(-lo, hi)^2 for the window (lo, hi):
+    # then each pair admits at most the two candidates isqrt(s) and
+    # isqrt(s) + 1, and lo and hi fit int64
+    r, d = _isqrt_row(x - x_lo, p4, f4)
+    lo, hi = cfg.window
     rows: list[_Row] = []
     for z_arr, d_arr in ((r, d), (r + 1, d - 2 * r - 1)):
-        if cfg.exact_residual is not None:
-            mask = d_arr == cfg.exact_residual
-        else:
-            mask = np.abs(d_arr) <= cfg.threshold
+        mask = d_arr == lo if lo == hi else np.abs(d_arr) <= hi
         for j in np.nonzero(mask)[0]:
             rows.append((x, x + int(j), int(z_arr[j]), int(d_arr[j])))
     return rows
@@ -151,8 +144,9 @@ def _scan_x_kernel(
 
 def _scan_stripe(job: tuple[SearchConfig, int, int, bool]) -> list[_Row]:
     cfg, index, stride, force_exact = job
-    t = cfg.bound
-    use_kernel = not force_exact and cfg.max_x <= KERNEL_MAX_X and t <= _KERNEL_MAX_BOUND
+    lo, hi = cfg.window
+    t = max(-lo, hi)
+    use_kernel = not force_exact and cfg.max_x <= KERNEL_MAX_X
     if use_kernel:
         p4, f4 = _pow4_tables(cfg.min_x, cfg.max_x)
     rows: list[_Row] = []

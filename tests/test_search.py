@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import as_tsv, naive_scan
+from nearmiss4 import search
 from nearmiss4.search import (
     KERNEL_MAX_X,
     MAX_WORKERS,
@@ -43,7 +44,9 @@ def test_config_validation():
     with pytest.raises(ValueError):  # ambiguous: which bound applies?
         SearchConfig(max_x=10, threshold=5, exact_residual=8)
     assert SearchConfig(max_x=10, workers=MAX_WORKERS).workers == MAX_WORKERS
-    assert SearchConfig(max_x=10, threshold=0, exact_residual=8).bound == 8
+    assert SearchConfig(max_x=10, threshold=0, exact_residual=8).window == (8, 8)
+    assert SearchConfig(max_x=10, exact_residual=-7).window == (-7, -7)
+    assert SearchConfig(max_x=10, threshold=5).window == (-5, 5)
 
 
 def test_pool_size_never_exceeds_x_range():
@@ -77,7 +80,8 @@ def test_matches_live_oracle_on_random_ranges():
         threshold = rng.randint(0, 30)
         cfg = SearchConfig(max_x=max_x, min_x=min_x, threshold=threshold)
         assert rows(scan(cfg)) == naive_scan(min_x, max_x, threshold=threshold)
-    for er in (8, -7, 1, 0):
+    # residuals above s and far below it leave some pairs no z at all
+    for er in (8, -7, 1, 0, 100, 1000, -50):
         cfg = SearchConfig(max_x=35, exact_residual=er)
         assert rows(scan(cfg)) == naive_scan(1, 35, exact_residual=er)
 
@@ -137,6 +141,19 @@ def test_fast_and_exact_paths_agree():
         SearchConfig(max_x=150, min_x=7, exact_residual=-16),
     ):
         assert scan(cfg) == scan(cfg, force_exact=True)
+
+
+def test_large_threshold_stays_in_kernel(monkeypatch):
+    # 2*x^4 > t^2 holds for every x here although t > 2^32, so no x may
+    # fall back to the window loop
+    cfg = SearchConfig(min_x=200_000, max_x=200_100, threshold=2**32 + 1)
+    expected = scan(cfg, force_exact=True)
+
+    def no_window_loop(x, cfg):
+        raise AssertionError(f"x={x} left the kernel")
+
+    monkeypatch.setattr(search, "_scan_x_exact", no_window_loop)
+    assert expected and scan(cfg) == expected
 
 
 def test_family_member_two_found():
