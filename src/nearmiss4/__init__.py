@@ -12,6 +12,7 @@ from .identities import (
     IdentityCheck,
     expand_lhs,
     expand_rhs,
+    five_identities,
     report_as_json,
     tables_equal,
     verify_five_identities,
@@ -48,6 +49,7 @@ __all__ = [
     "closed_form_z",
     "expand_lhs",
     "expand_rhs",
+    "five_identities",
     "gen_recurrence",
     "isqrt",
     "report_as_json",

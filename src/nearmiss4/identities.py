@@ -26,6 +26,7 @@ __all__ = [
     "IdentityCheck",
     "expand_lhs",
     "expand_rhs",
+    "five_identities",
     "verify_five_identities",
     "verify_root_identities",
     "tables_equal",
@@ -139,14 +140,18 @@ _FIVE = (
 )
 
 
-def verify_five_identities(constants: ClosedFormConstants) -> list[IdentityCheck]:
-    """The five coefficient equalities tying the two expansions together.
+def five_identities(lhs: ExpansionTable, rhs: ExpansionTable) -> list[IdentityCheck]:
+    """The five coefficient equalities, read off expansions already made.
 
     A false identity is a result, not an error; both sides are kept
     exactly so a discrepancy stays diagnosable.
     """
-    lhs, rhs = expand_lhs(constants).entries, expand_rhs(constants).entries
-    return [_check(name, rhs[slot][0], lhs[slot][0]) for slot, name in _FIVE]
+    return [_check(name, rhs.entries[slot][0], lhs.entries[slot][0]) for slot, name in _FIVE]
+
+
+def verify_five_identities(constants: ClosedFormConstants) -> list[IdentityCheck]:
+    """The five coefficient equalities tying the two expansions together."""
+    return five_identities(expand_lhs(constants), expand_rhs(constants))
 
 
 def verify_root_identities(constants: ClosedFormConstants) -> list[IdentityCheck]:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nearmiss4 import cli, sequences
+from nearmiss4 import cli, identities, sequences
 
 FIXTURE = Path(__file__).parent / "data" / "search_oracle_max60_t50.tsv"
 
@@ -109,6 +109,21 @@ def test_identities_perturbed_g_fails(capsys, monkeypatch):
     code, out, _ = run(capsys, "identities")
     assert code == 1
     assert json.loads(out)["all_ok"] is False
+
+
+def test_identities_expands_each_table_once(capsys, monkeypatch):
+    calls = []
+    for name in ("expand_lhs", "expand_rhs"):
+        original = getattr(identities, name)
+
+        def counted(constants, original=original, name=name):
+            calls.append(name)
+            return original(constants)
+
+        monkeypatch.setattr(identities, name, counted)
+    code, _, _ = run(capsys, "identities")
+    assert code == 0
+    assert sorted(calls) == ["expand_lhs", "expand_rhs"]
 
 
 def test_closed_form_exposes_cancellation(capsys):

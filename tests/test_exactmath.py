@@ -1,9 +1,13 @@
 """Exact-arithmetic unit and property tests."""
 
+import copy
+import operator
+import pickle
 from fractions import Fraction
 from math import gcd
 
 import pytest
+import quadref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,14 +94,15 @@ def test_isqrt_rejects_negative():
 
 def test_discriminant_mismatch_rejected():
     other = QuadElem(1, 1, d=2)
-    with pytest.raises(DiscriminantMismatchError):
-        LAM1 + other
-    with pytest.raises(DiscriminantMismatchError):
-        LAM1 * other
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(DiscriminantMismatchError):
+            op(LAM1, other)
+        with pytest.raises(DiscriminantMismatchError):
+            op(other, LAM1)
 
 
 def test_square_discriminant_rejected():
-    for bad in (-4, 0, 1, 4, 9):
+    for bad in (-4, 0, 1, 4, 9, 577**2):
         with pytest.raises(ValueError):
             QuadElem(1, 1, d=bad)
 
@@ -193,3 +198,159 @@ def test_rational_canonical_form(p1, q1, p2, q2):
         for part in (result.p, result.q):
             assert part.denominator > 0
             assert gcd(abs(part.numerator), part.denominator) == 1
+
+
+# --- value-object contract -------------------------------------------------
+
+def test_pickle_and_copy_round_trips():
+    huge = A * LAM1**500
+    for u in (A, ZERO, huge, QuadElem(Fraction(-3, 7), Fraction(5, 2), d=2)):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(u, protocol))
+            assert type(back) is QuadElem
+            assert back == u and back.d == u.d
+        assert copy.copy(u) == u
+        assert copy.deepcopy(u) == u
+        assert copy.deepcopy([u, u]) == [u, u]
+
+
+def test_equal_elements_hash_equal():
+    assert QuadElem(Fraction(2, 4), 0) == QuadElem(Fraction(1, 2), 0)
+    assert hash(QuadElem(Fraction(2, 4), 0)) == hash(QuadElem(Fraction(1, 2), 0))
+    assert hash(QuadElem(Fraction(-6, 4), Fraction(9, 6))) == hash(QuadElem(Fraction(-3, 2), Fraction(3, 2)))
+    assert len({LAM1 * LAM2, QuadElem(-1, 0), -ONE}) == 1
+
+
+@given(quad_st, quad_st)
+def test_equal_results_hash_equal(u, v):
+    for left, right in ((u * v, v * u), (u + v - v, u), (u * u.conj(), QuadElem(u.norm(), 0))):
+        assert left == right
+        assert hash(left) == hash(right)
+
+
+def test_elements_are_immutable():
+    u = QuadElem(1, 2)
+    for name in ("p", "q", "d", "extra", "_a"):
+        with pytest.raises(AttributeError):
+            setattr(u, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(u, name)
+    assert u == QuadElem(1, 2)
+
+
+def test_keyword_construction_and_repr():
+    u = QuadElem(p=Fraction(1, 2), q=3, d=2)
+    assert u == QuadElem(Fraction(1, 2), 3, 2)
+    assert u.d == 2
+    assert repr(u) == "QuadElem(p=Fraction(1, 2), q=Fraction(3, 1), d=2)"
+    assert repr(A) == "QuadElem(p=Fraction(11, 1), q=Fraction(265, 577), d=577)"
+    assert eval(repr(E), {"QuadElem": QuadElem, "Fraction": Fraction}) == E
+
+
+def test_rational_parts_are_reduced_fractions():
+    u = QuadElem(Fraction(6, 4), Fraction(-10, 4))
+    assert type(u.p) is Fraction and (u.p.numerator, u.p.denominator) == (3, 2)
+    assert type(u.q) is Fraction and (u.q.numerator, u.q.denominator) == (-5, 2)
+    assert type(u.d) is int
+    assert QuadElem(7, 0).q == 0 and QuadElem(7, 0).q.denominator == 1
+
+
+def test_comparison_with_other_types_is_unequal():
+    assert QuadElem(1, 0) != 1
+    assert QuadElem(1, 0) != Fraction(1)
+    assert QuadElem(1, 0, d=2) != QuadElem(1, 0, d=3)
+    with pytest.raises(TypeError):
+        A + 1.5
+    with pytest.raises(TypeError):
+        A**Fraction(1, 2)
+
+
+# --- differential against the Fraction-pair reference ----------------------
+
+operand_st = st.one_of(quad_st, st.integers(-60, 60), fractions_st)
+huge_st = st.builds(lambda c, n: c * LAM1**n, fractions_st.filter(bool), st.integers(0, 500))
+
+BINARY = {
+    "+": (operator.add, quadref.add),
+    "-": (operator.sub, quadref.sub),
+    "*": (operator.mul, lambda u, v: quadref.mul(u, v, 577)),
+    "/": (operator.truediv, lambda u, v: quadref.div(u, v, 577)),
+}
+
+
+def _pair(value):
+    return (value.p, value.q) if isinstance(value, QuadElem) else quadref.pair(value)
+
+
+def assert_matches(got, expected):
+    """got is a QuadElem whose parts are exactly the reduced reference pair."""
+    assert type(got) is QuadElem and got.d == 577
+    for part, ref in zip((got.p, got.q), expected):
+        assert type(part) is Fraction
+        assert (part.numerator, part.denominator) == (ref.numerator, ref.denominator)
+    assert got == QuadElem(*expected)
+    assert hash(got) == hash(QuadElem(*expected))
+
+
+def _check_binary(left, right, symbol):
+    op, ref = BINARY[symbol]
+    try:
+        expected = ref(_pair(left), _pair(right))
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            op(left, right)
+        return
+    assert_matches(op(left, right), expected)
+
+
+@settings(deadline=None)
+@given(quad_st, operand_st, st.sampled_from(sorted(BINARY)))
+def test_binary_operators_match_reference(u, v, symbol):
+    _check_binary(u, v, symbol)
+    _check_binary(v, u, symbol)
+
+
+@settings(deadline=None)
+@given(st.one_of(quad_st, huge_st))
+def test_unary_operations_match_reference(u):
+    ref = _pair(u)
+    assert_matches(u.conj(), quadref.conj(ref))
+    assert_matches(-u, quadref.sub(quadref.pair(0), ref))
+    norm = u.norm()
+    assert type(norm) is Fraction and norm == quadref.norm(ref, 577)
+    if u:
+        assert_matches(u.inverse(), quadref.inverse(ref, 577))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            u.inverse()
+
+
+@settings(deadline=None)
+@given(nonzero_quad_st, st.integers(-25, 25))
+def test_pow_matches_reference(u, exponent):
+    assert_matches(u**exponent, quadref.power(_pair(u), exponent, 577))
+
+
+@settings(deadline=None, max_examples=40)
+@given(huge_st, st.one_of(huge_st, operand_st), st.sampled_from(sorted(BINARY)))
+def test_huge_operands_match_reference(u, v, symbol):
+    _check_binary(u, v, symbol)
+    _check_binary(v, u, symbol)
+
+
+@settings(deadline=None, max_examples=20)
+@given(fractions_st.filter(bool), st.integers(-500, 500))
+def test_huge_powers_match_reference(c, n):
+    expected = quadref.mul(quadref.pair(c), quadref.power((Fraction(24), Fraction(1)), n, 577), 577)
+    assert_matches(c * LAM1**n, expected)
+
+
+def test_negative_norm_inverse_sign():
+    # lambda1 has norm -1, so its inverse is -lambda2 and its odd powers flip sign
+    assert LAM1.norm() == -1
+    assert LAM1.inverse() == -LAM2
+    for n in (1, 2, 3, 499, 500):
+        u = A * LAM1**n
+        assert_matches(u.inverse(), quadref.inverse(_pair(u), 577))
+        assert u * u.inverse() == ONE
+        assert LAM1**-n == (-LAM2) ** n

@@ -11,6 +11,7 @@ from nearmiss4.identities import (
     ExpansionTable,
     expand_lhs,
     expand_rhs,
+    five_identities,
     report_as_json,
     tables_equal,
     verify_five_identities,
@@ -27,6 +28,13 @@ def test_five_identities_hold():
     assert all(c.equal for c in checks)
     for c in checks:
         assert c.left == c.right
+
+
+def test_five_identities_from_tables_match_verifier():
+    perturbed = replace(K, e=K.e + Fraction(1, 577))
+    for k in (K, perturbed):
+        assert five_identities(expand_lhs(k), expand_rhs(k)) == verify_five_identities(k)
+    assert not all(c.equal for c in verify_five_identities(perturbed))
 
 
 def test_root_identities_hold():
