@@ -198,3 +198,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def app() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    app()

@@ -18,7 +18,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .exactmath import QuadElem
-from .sequences import ClosedFormConstants
+from .sequences import ClosedFormConstants, R
 
 __all__ = [
     "SLOTS",
@@ -87,15 +87,14 @@ def _to_table(terms: _Terms) -> ExpansionTable:
 
 
 def expand_lhs(constants: ClosedFormConstants) -> ExpansionTable:
-    """Expansion of x_n^4 + y_n^4 - 8 in powers lambda1^(k*n)."""
+    """Expansion of x_n^4 + y_n^4 - R in powers lambda1^(k*n)."""
     k = constants
     x_terms: _Terms = {(1, False): k.a, (-1, True): k.b}
     y_terms: _Terms = {(1, False): k.c, (-1, True): k.d}
     total = _power(x_terms, 4)
     for key, coeff in _power(y_terms, 4).items():
         total[key] = total[key] + coeff
-    eight = QuadElem(8, 0, k.a.d)
-    total[(0, False)] = total[(0, False)] - eight
+    total[(0, False)] = total[(0, False)] - R
     return _to_table(total)
 
 

@@ -1,11 +1,12 @@
-"""The infinite family of triplets with x^4 + y^4 - 8 = z^2.
+"""The infinite family of triplets with x^4 + y^4 - R = z^2, R = 8.
 
-Two equivalent generators live here: the integer recurrences
-x_n = 48*x_{n-1} + x_{n-2} (same for y) and
-z_n = 2306*z_{n-1} - z_{n-2} + (-1)^n * 192, and the closed forms over
-Q(sqrt(577)) built from the constants below.  Evaluating a closed form
-must cancel every sqrt(577) term identically; anything else is a bug,
-never a rounding concern.
+The family is stated once: two seed triplets INITIAL_TRIPLETS, the
+multiplier A = 48 and the miss R.  Everything else is derived from them:
+the recurrences x_n = A*x_{n-1} + x_{n-2} (same for y) and
+z_n = (A^2+2)*z_{n-1} - z_{n-2} + (-1)^n * F with F = 192, and the
+equivalent closed forms over Q(sqrt(A^2/4+1)) = Q(sqrt(577)).  Evaluating
+a closed form must cancel every sqrt(577) term identically; anything
+else is a bug, never a rounding concern.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import QuadElem
+from .exactmath import QuadElem, isqrt
 
 __all__ = [
     "Triplet",
@@ -30,6 +31,8 @@ __all__ = [
 # Seeds consumed by the three-term recurrences (n = 0 and n = 1).
 # Module-level on purpose: tests use this as an injection seam.
 INITIAL_TRIPLETS = ((22, 23, 717), (1058, 1103, 1653213))
+A = 48  # x_n = A*x_{n-1} + x_{n-2}; even, so lambda1 lies in Q(sqrt(A^2/4+1))
+R = 8  # the miss: x^4 + y^4 - R = z^2 on every member
 
 
 class CancellationError(ArithmeticError):
@@ -75,20 +78,28 @@ class ClosedFormConstants:
     g: Fraction
 
 
+def _forcing() -> int:
+    """F = z2 - (A^2+2)*z1 + z0, which is g*(A^2+4) because mu1 + mu2 = A^2+2."""
+    (x0, y0, z0), (x1, y1, z1) = INITIAL_TRIPLETS
+    x2, y2 = A * x1 + x0, A * y1 + y0
+    return isqrt(x2**4 + y2**4 - R) - (A * A + 2) * z1 + z0
+
+
+def _fit(u0: Fraction | int, u1: Fraction | int, r: QuadElem) -> QuadElem:
+    """k with u_n = k*r^n + conj(k)*conj(r)^n at n = 0 and n = 1."""
+    return (u1 - u0 * r.conj()) / (r - r.conj())
+
+
 def canonical_constants() -> ClosedFormConstants:
-    """The exact constants of the x^4 + y^4 - 8 = z^2 family."""
+    """The exact constants of the family, derived from INITIAL_TRIPLETS, A and R."""
+    (x0, y0, z0), (x1, y1, z1) = INITIAL_TRIPLETS
+    lambda1 = QuadElem(Fraction(A, 2), 1, A * A // 4 + 1)
+    mu1 = lambda1 * lambda1
+    g = Fraction(_forcing(), A * A + 4)
+    a, c, e = _fit(x0, x1, lambda1), _fit(y0, y1, lambda1), _fit(z0 - g, z1 + g, mu1)
     return ClosedFormConstants(
-        lambda1=QuadElem(24, 1),
-        lambda2=QuadElem(24, -1),
-        mu1=QuadElem(1153, 48),
-        mu2=QuadElem(1153, -48),
-        a=QuadElem(11, Fraction(265, 577)),
-        b=QuadElem(11, Fraction(-265, 577)),
-        c=QuadElem(Fraction(23, 2), Fraction(551, 1154)),
-        d=QuadElem(Fraction(23, 2), Fraction(-551, 1154)),
-        e=QuadElem(Fraction(413661, 1154), Fraction(17221, 1154)),
-        f=QuadElem(Fraction(413661, 1154), Fraction(-17221, 1154)),
-        g=Fraction(48, 577),
+        lambda1=lambda1, lambda2=lambda1.conj(), mu1=mu1, mu2=mu1.conj(),
+        a=a, b=a.conj(), c=c, d=c.conj(), e=e, f=e.conj(), g=g,
     )
 
 
@@ -105,22 +116,23 @@ def gen_recurrence(count: int) -> list[Triplet]:
     if count == 1:
         return out
     out.append(Triplet(1, *second))
+    z_mult, forcing = A * A + 2, _forcing()
     for n in range(2, count):
         prev, prev2 = out[-1], out[-2]
         out.append(
             Triplet(
                 n,
-                48 * prev.x + prev2.x,
-                48 * prev.y + prev2.y,
-                2306 * prev.z - prev2.z + (192 if n % 2 == 0 else -192),
+                A * prev.x + prev2.x,
+                A * prev.y + prev2.y,
+                z_mult * prev.z - prev2.z + (forcing if n % 2 == 0 else -forcing),
             )
         )
     return out
 
 
 def residual(x: int, y: int, z: int) -> int:
-    """x^4 + y^4 - 8 - z^2, exactly; zero on every member of the family."""
-    return x**4 + y**4 - 8 - z * z
+    """x^4 + y^4 - R - z^2, exactly; zero on every member of the family."""
+    return x**4 + y**4 - R - z * z
 
 
 def _exact_int(value: QuadElem, what: str) -> int:

@@ -1,6 +1,7 @@
 """Command-line surface tests, run in-process via cli.main."""
 
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -86,6 +87,32 @@ def test_verify_corrupted_seed_names_index(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--count", "3")
     assert code == 1
     assert out.splitlines()[0].startswith("n=0 FAIL")
+
+
+def test_derivation_follows_the_seeds(capsys, monkeypatch):
+    # a second A = 48, R = 8 family: verify passes only if the z recurrence
+    # and the closed-form constants are derived from the seeds
+    monkeypatch.setattr(sequences, "INITIAL_TRIPLETS", ((1, 2, 3), (71, 74, 7443)))
+    code, out, _ = run(capsys, "verify", "--count", "8")
+    assert code == 0
+    assert out.splitlines() == [f"n={i} ok" for i in range(8)]
+    t = sequences.gen_recurrence(4)
+    assert (t[2].x, t[2].y, t[2].z) == (3409, 3554, 17163747)
+    assert (t[3].x, t[3].y, t[3].z) == (163703, 170666, 39579592947)
+    k = sequences.canonical_constants()
+    assert all(c.equal for c in identities.verify_five_identities(k))
+    assert identities.tables_equal(identities.expand_lhs(k), identities.expand_rhs(k))
+
+
+def test_verify_rejects_non_consecutive_seeds(capsys, monkeypatch):
+    # members n=0 and n=2 of the paper's family: constants fitted to them
+    # reproduce both seeds, but the next term is no member
+    seeds = ((22, 23, 717), (50806, 52967, 3812308653))
+    monkeypatch.setattr(sequences, "INITIAL_TRIPLETS", seeds)
+    code, out, _ = run(capsys, "verify", "--count", "3")
+    assert code == 1
+    assert out.splitlines()[:2] == ["n=0 ok", "n=1 ok"]
+    assert out.splitlines()[2].startswith("n=2 FAIL")
 
 
 def test_identities_report(capsys):
@@ -190,15 +217,21 @@ def test_search_invalid_range_is_usage_error(capsys):
 def test_console_script_end_to_end():
     import shutil
     import subprocess
+    import sys
 
+    # without an installed script, run the module from the tree under test
     exe = shutil.which("nearmiss4")
-    if exe is None:
-        pytest.skip("console script not installed")
+    cmd = [exe] if exe else [sys.executable, "-m", "nearmiss4.cli"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run(
-        [exe, "gen", "--count", "4"], capture_output=True, text=True, timeout=30
+        cmd + ["gen", "--count", "4"], capture_output=True, text=True, timeout=30, env=env
     )
     assert proc.returncode == 0
     assert proc.stdout == PAPER_TSV
+    proc = subprocess.run(
+        cmd + ["gen", "--count", "0"], capture_output=True, text=True, timeout=30, env=env
+    )
+    assert proc.returncode == 2
 
 
 def test_search_workers_flag(capsys):
