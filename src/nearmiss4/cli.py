@@ -59,12 +59,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("identities", help="verify the coefficient and root identities")
 
-    scan = sub.add_parser("search", help="scan for near-misses |x^4 + y^4 - z^2| <= bound")
+    scan = sub.add_parser(
+        "search",
+        help="scan min_x <= x <= y <= max_x for x^4 + y^4 - z^2 in a residual window",
+        description="Scan min_x <= x <= y <= max_x for hits: |x^4 + y^4 - z^2| <= T "
+        "with --threshold T (default 0), or x^4 + y^4 - z^2 = R with --exact-residual R.",
+    )
     scan.add_argument("--min-x", type=_positive_int, default=1)
     scan.add_argument("--max-x", type=_positive_int, required=True)
     residual = scan.add_mutually_exclusive_group()
-    residual.add_argument("--threshold", type=_nonnegative_int, default=0)
-    residual.add_argument("--exact-residual", type=int, default=None)
+    residual.add_argument(
+        "--threshold", type=_nonnegative_int, default=0, metavar="T", help="window -T..T"
+    )
+    residual.add_argument(
+        "--exact-residual", type=int, default=None, metavar="R", help="window R..R"
+    )
     scan.add_argument("--workers", type=_positive_int, default=1)
     scan.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
 

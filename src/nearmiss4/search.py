@@ -17,13 +17,27 @@ by one where d < 0 or d > 2r then makes r = isqrt(s) exactly.  The float
 estimate errs by at most about r * 2^-52, which stays below one up to
 KERNEL_MAX_X.
 
+A threshold window (lo < hi) runs the kernel one numpy row of y per x.
+A window of one value R (an exact residual, or threshold 0) runs it
+behind a congruence sieve instead.  A hit means s - R = z^2, so s - R
+is a square mod M = SIEVE_MODULUS = 432 = 2^4 * 3^3, and the sieve keeps
+only the pairs whose classes (x mod M, y mod M) allow that: 10.49% of
+them for R = 8.  It drops only pairs that cannot hit, and every pair it
+keeps is still checked exactly by the kernel.  Since the test is
+symmetric in x and y, each pair is taken once, under the smaller of its
+two classes: class c is paired with the admissible classes c' >= c, in
+blocks of at most SIEVE_BLOCK_PAIRS pairs.
+
 The pure-Python window loop serves the rest: the small-s regime
 2*x^4 <= t^2, max_x above KERNEL_MAX_X, and force_exact.  It is the
-reference the kernel is tested against.
+reference the kernel and the sieve are tested against.  Threshold
+configs for which the window loop could emit more than MAX_WINDOW_ROWS
+rows beyond one per pair are refused before anything runs.
 
-Work is partitioned into interleaved x-stripes across workers and the
-merged result is sorted by (y, x, z), so output is independent of the
-worker count.
+Workers split the window-loop x values, the kernel x values and the
+sieve classes between them in interleaved stripes, and the merged
+result is sorted by (y, x, z), so output is independent of the worker
+count.
 """
 
 from __future__ import annotations
@@ -48,6 +62,21 @@ KERNEL_MAX_X = 2**25
 # Upper bound on worker processes; a pool never exceeds the x-range.
 MAX_WORKERS = 1024
 
+# Modulus of the congruence sieve, 2^4 * 3^3.  M = 2160 (adding the
+# factor 5) and a further split of each class by x mod 7 both measured
+# slower, at max_x 7000 and 20000 and on a 1020-wide window: the extra
+# classes cost more in per-block overhead than the pairs they drop.
+SIEVE_MODULUS = 432
+
+# Most pairs one sieve block evaluates; keeps its arrays within cache
+# and its memory flat at any max_x.
+SIEVE_BLOCK_PAIRS = 2**15
+
+# Most rows a threshold may add to the window loop beyond one per pair,
+# as bounded by _extra_rows_bound.  Every row is held in memory until the
+# scan ends.
+MAX_WINDOW_ROWS = 10**7
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -68,6 +97,11 @@ class SearchConfig:
             raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {self.workers}")
         if self.exact_residual is not None and self.threshold != 0:
             raise ValueError("give either threshold or exact_residual, not both")
+        if self.exact_residual is None and _extra_rows_bound(self) > MAX_WINDOW_ROWS:
+            raise ValueError(
+                f"threshold {self.threshold} over x in {self.min_x}..{self.max_x} could "
+                f"add more than {MAX_WINDOW_ROWS} rows; narrow the range or the threshold"
+            )
 
     @property
     def window(self) -> tuple[int, int]:
@@ -103,20 +137,59 @@ def _scan_x_exact(x: int, cfg: SearchConfig) -> list[_Row]:
     return rows
 
 
+def _kernel_min_x(t: int) -> int:
+    """Smallest x >= 1 with 2*x^4 > t^2, where the kernel applies."""
+    x = isqrt(isqrt(t * t // 2))
+    while 2 * x**4 <= t * t:
+        x += 1
+    return x
+
+
+def _kernel_start(cfg: SearchConfig, force_exact: bool = False) -> int:
+    """First x the kernel serves; the window loop takes the x below it."""
+    if force_exact or cfg.max_x > KERNEL_MAX_X:
+        return cfg.max_x + 1
+    lo, hi = cfg.window
+    return min(max(cfg.min_x, _kernel_min_x(max(-lo, hi))), cfg.max_x + 1)
+
+
+def _extra_rows_bound(cfg: SearchConfig) -> int:
+    """Upper bound on the rows the window loop emits beyond one per pair,
+    for a threshold t.
+
+    The hits of a pair are the z with s - t <= z^2 <= s + t, at most
+    1 + sqrt(s + t) - sqrt(max(s - t, 0)) of them.  That difference is
+    at most sqrt(2t), and at most 2t/sqrt(s) <= 2t/x^2 once s >= t, and
+    its sum over all y >= 1 is at most 2*(2t)^(3/4) + sqrt(2t).
+    """
+    t = cfg.threshold
+    n_x = _kernel_start(cfg) - cfg.min_x
+    n_y = cfg.max_x - cfg.min_x + 1
+    root = isqrt(2 * t) + 1  # > sqrt(2t)
+    per_x = min(
+        isqrt(2 * t * n_y**2) + 1,
+        -(-2 * t * n_y // cfg.min_x**2),  # rounded up; 0 when t = 0
+        2 * (isqrt(root) + 1) ** 3 + root,
+    )
+    return n_x * per_x
+
+
+def _pow4(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v^4 mod 2^64 as int64 and v^4 as float64, for int64 v <= 2^25."""
+    v2 = v * v
+    f2 = v2.astype(np.float64)
+    return v2 * v2, f2 * f2
+
+
 def _pow4_tables(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """x^4 mod 2^64 as int64 and x^4 as float64, indexed by x - lo."""
-    x2 = np.arange(lo, hi + 1, dtype=np.int64) ** 2
-    f2 = x2.astype(np.float64)
-    return x2 * x2, f2 * f2
+    return _pow4(np.arange(lo, hi + 1, dtype=np.int64))
 
 
-def _isqrt_row(i: int, p4: np.ndarray, f4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """r = isqrt(s) and d = s - r*r for s = x^4 + y^4 over one kernel row.
-
-    x is table index i and y runs over indices i.. of the tables.
-    """
-    s = p4[i] + p4[i:]  # wraps mod 2^64; numpy arrays wrap without warning
-    r = np.sqrt(f4[i] + f4[i:]).astype(np.int64)
+def _isqrt(s: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r = isqrt(s) and d = s - r*r elementwise, for 1-D s = x^4 + y^4
+    held mod 2^64 and its float64 estimate f from the pow4 tables."""
+    r = np.sqrt(f).astype(np.int64)
     d = s - r * r  # exact: |s - r^2| <= 4r + 3 < 2^63
     # r is too big where d < 0 and too small where s >= (r + 1)^2; the
     # estimate is rarely off, so only those entries are corrected
@@ -126,35 +199,92 @@ def _isqrt_row(i: int, p4: np.ndarray, f4: np.ndarray) -> tuple[np.ndarray, np.n
     return r, d
 
 
+def _isqrt_row(i: int, p4: np.ndarray, f4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r = isqrt(s) and d = s - r*r for s = x^4 + y^4 over one kernel row.
+
+    x is table index i and y runs over indices i.. of the tables.
+    """
+    return _isqrt(p4[i] + p4[i:], f4[i] + f4[i:])  # s wraps mod 2^64 without warning
+
+
 def _scan_x_kernel(
     x: int, x_lo: int, p4: np.ndarray, f4: np.ndarray, cfg: SearchConfig
 ) -> list[_Row]:
-    # valid only when 2*x^4 > max(-lo, hi)^2 for the window (lo, hi):
-    # then each pair admits at most the two candidates isqrt(s) and
-    # isqrt(s) + 1, and lo and hi fit int64
+    # valid only when 2*x^4 > t^2 for the threshold window (-t, t): then
+    # each pair admits at most the two candidates isqrt(s) and
+    # isqrt(s) + 1, and t fits int64
     r, d = _isqrt_row(x - x_lo, p4, f4)
-    lo, hi = cfg.window
+    t = cfg.threshold
     rows: list[_Row] = []
     for z_arr, d_arr in ((r, d), (r + 1, d - 2 * r - 1)):
-        mask = d_arr == lo if lo == hi else np.abs(d_arr) <= hi
-        for j in np.nonzero(mask)[0]:
+        for j in np.flatnonzero(np.abs(d_arr) <= t):
             rows.append((x, x + int(j), int(z_arr[j]), int(d_arr[j])))
+    return rows
+
+
+def _admissible(residual: int) -> np.ndarray:
+    """M x M bool table, M = SIEVE_MODULUS: entry [a, b] is True iff
+    a^4 + b^4 - residual is a square mod M.  Symmetric in a and b."""
+    m = SIEVE_MODULUS
+    k = np.arange(m, dtype=np.int64)
+    is_square = np.zeros(m, dtype=bool)
+    is_square[k * k % m] = True
+    k4 = (k**4 % m).astype(np.int16)  # int16 keeps the M x M temporaries small
+    return is_square[(k4[:, None] + k4[None, :] + (-residual) % m) % m]
+
+
+def _scan_sieved(residual: int, x0: int, max_x: int, index: int, stride: int) -> list[_Row]:
+    """Hits x^4 + y^4 - z^2 = residual over x0 <= x <= y <= max_x, for
+    this worker's stripe of the sieve classes.
+
+    Valid only when 2*x0^4 > residual^2, so that z is isqrt(s) or
+    isqrt(s) + 1 and the residual fits int64.
+    """
+    m = SIEVE_MODULUS
+    table = _admissible(residual)
+    base = x0 - x0 % m
+    rows: list[_Row] = []
+    for c in range(index, m, stride):
+        xs = np.arange(x0 + (c - x0) % m, max_x + 1, m, dtype=np.int64)
+        partners = np.flatnonzero(table[c, c:]) + c
+        ys = (np.arange(base, max_x + 1, m, dtype=np.int64)[:, None] + partners).ravel()
+        ys = ys[(ys >= x0) & (ys <= max_x)]
+        if not xs.size or not ys.size:
+            continue
+        p4x, f4x = _pow4(xs)
+        p4y, f4y = _pow4(ys)
+        h = max(1, SIEVE_BLOCK_PAIRS // ys.size)
+        w = SIEVE_BLOCK_PAIRS // h
+        for i in range(0, xs.size, h):
+            for j in range(0, ys.size, w):
+                width = min(w, ys.size - j)
+                s = (p4x[i : i + h, None] + p4y[None, j : j + w]).ravel()
+                r, d = _isqrt(s, (f4x[i : i + h, None] + f4y[None, j : j + w]).ravel())
+                # s - r^2 = residual, or s - (r + 1)^2 = residual
+                for k in np.flatnonzero((d == residual) | (d - residual == 2 * r + 1)).tolist():
+                    x, y = int(xs[i + k // width]), int(ys[j + k % width])
+                    if y < x and y % m == c:
+                        continue  # the same pair as (y, x) in this block
+                    z = int(r[k]) + (int(d[k]) != residual)
+                    rows.append((min(x, y), max(x, y), z, residual))
     return rows
 
 
 def _scan_stripe(job: tuple[SearchConfig, int, int, bool]) -> list[_Row]:
     cfg, index, stride, force_exact = job
     lo, hi = cfg.window
-    t = max(-lo, hi)
-    use_kernel = not force_exact and cfg.max_x <= KERNEL_MAX_X
-    if use_kernel:
-        p4, f4 = _pow4_tables(cfg.min_x, cfg.max_x)
+    x0 = _kernel_start(cfg, force_exact)
     rows: list[_Row] = []
-    for x in range(cfg.min_x + index, cfg.max_x + 1, stride):
-        if use_kernel and 2 * x**4 > t * t:
-            rows.extend(_scan_x_kernel(x, cfg.min_x, p4, f4, cfg))
-        else:
-            rows.extend(_scan_x_exact(x, cfg))
+    for x in range(cfg.min_x + index, x0, stride):
+        rows.extend(_scan_x_exact(x, cfg))
+    if x0 > cfg.max_x:
+        return rows
+    if lo == hi:
+        rows.extend(_scan_sieved(lo, x0, cfg.max_x, index, stride))
+    else:
+        p4, f4 = _pow4_tables(x0, cfg.max_x)
+        for x in range(x0 + index, cfg.max_x + 1, stride):
+            rows.extend(_scan_x_kernel(x, x0, p4, f4, cfg))
     return rows
 
 
@@ -166,8 +296,8 @@ def _pool_size(cfg: SearchConfig) -> int:
 def scan(cfg: SearchConfig, force_exact: bool = False) -> list[SearchHit]:
     """All qualifying hits, each exactly once, sorted by (y, x, z).
 
-    force_exact switches off the vectorized kernel; results are identical
-    either way (asserted by the test suite on overlap ranges).
+    force_exact switches off the vectorized kernel and the sieve; results
+    are identical either way (asserted by the test suite on overlap ranges).
     """
     workers = _pool_size(cfg)
     jobs = [(cfg, i, workers, force_exact) for i in range(workers)]

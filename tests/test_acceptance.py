@@ -145,13 +145,15 @@ def test_criterion_7_no_exact_solutions():
 
 def test_criterion_8_worker_determinism():
     with criterion(8, "search output byte-identical for workers 1, 2, 8 at max_x 5000"):
-        outputs = []
-        for workers in (1, 2, 8):
-            cfg = SearchConfig(max_x=5000, threshold=8, workers=workers)
-            hits = scan(cfg)
-            outputs.append(as_tsv([(h.x, h.y, h.z, h.delta) for h in hits]).encode())
-        assert outputs[0] == outputs[1] == outputs[2]
-        assert outputs[0]  # the range is not trivially empty
+        # the threshold window runs the per-x kernel, the exact residual the sieve
+        for window in ({"threshold": 8}, {"exact_residual": 8}):
+            outputs = []
+            for workers in (1, 2, 8):
+                cfg = SearchConfig(max_x=5000, workers=workers, **window)
+                hits = scan(cfg)
+                outputs.append(as_tsv([(h.x, h.y, h.z, h.delta) for h in hits]).encode())
+            assert outputs[0] == outputs[1] == outputs[2]
+            assert outputs[0]  # the range is not trivially empty
 
 
 def test_criterion_9_exactmath_property_suite():

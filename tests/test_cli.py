@@ -195,6 +195,22 @@ def test_search_formats_carry_identical_numbers(capsys):
     assert tsv_rows == json_rows
 
 
+def test_search_help_names_both_windows(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert "--exact-residual" in out and "--threshold" in out
+    assert "bound" not in out
+
+
+def test_search_huge_threshold_window_is_usage_error(capsys):
+    code, out, err = run(capsys, "search", "--max-x", "20", "--threshold", str(10**12))
+    assert code == 2
+    assert out == ""
+    assert "rows" in err
+
+
 def test_search_threshold_and_residual_are_exclusive():
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--max-x", "10", "--threshold", "3", "--exact-residual", "8"])

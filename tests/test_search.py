@@ -13,10 +13,16 @@ from oracle import as_tsv, naive_scan
 from nearmiss4 import search
 from nearmiss4.search import (
     KERNEL_MAX_X,
+    MAX_WINDOW_ROWS,
     MAX_WORKERS,
+    SIEVE_MODULUS,
     SearchConfig,
     SearchHit,
+    _admissible,
+    _extra_rows_bound,
     _isqrt_row,
+    _kernel_min_x,
+    _kernel_start,
     _pool_size,
     _pow4_tables,
     scan,
@@ -125,6 +131,12 @@ def test_worker_count_does_not_change_output():
     base = rows(scan(SearchConfig(max_x=120, threshold=10, workers=1)))
     for workers in (2, 3, 5):
         cfg = SearchConfig(max_x=120, threshold=10, workers=workers)
+        assert rows(scan(cfg)) == base
+    # the sieve splits its x classes between the workers
+    base = rows(scan(SearchConfig(max_x=1200, exact_residual=8)))
+    assert (1058, 1103, 1653213, 8) in base
+    for workers in (2, 3, 5, 8):
+        cfg = SearchConfig(max_x=1200, exact_residual=8, workers=workers)
         assert rows(scan(cfg)) == base
 
 
@@ -236,6 +248,122 @@ def test_kernel_matches_exact_at_boundaries(pair, fraction):
         assert hits == scan(cfg, force_exact=True)
         if "exact_residual" in fields or fields["threshold"] >= abs(nearest):
             assert any((h.x, h.y, h.delta) == (x, y, nearest) for h in hits)
+
+
+@pytest.mark.parametrize("residual", [8, 0, -7, 72, 2**50 + 3, -(2**40)])
+def test_admissible_table_is_the_squares_mod_432(residual):
+    m = SIEVE_MODULUS
+    squares = {k * k % m for k in range(m)}
+    expected = [[(a**4 + b**4 - residual) % m in squares for b in range(m)] for a in range(m)]
+    assert m == 432
+    assert _admissible(residual).tolist() == expected
+
+
+def test_admissible_share_for_the_family_residual():
+    assert _admissible(8).sum() == 19584  # 10.49% of 432^2
+    assert not _admissible(100).any()  # no kernel pair can have residual 100
+
+
+@st.composite
+def sieve_windows(draw):
+    """(min_x, max_x, residual): ranges shorter than one sieve period or
+    spanning several, and residuals small, large, negative or taken from
+    a pair in the range so that the range holds a hit."""
+    if draw(st.booleans()):
+        width = draw(st.integers(0, SIEVE_MODULUS - 1))
+        min_x = draw(st.one_of(st.integers(1, 3000), st.integers(1, KERNEL_MAX_X - width)))
+    else:
+        width = draw(st.integers(SIEVE_MODULUS, SIEVE_MODULUS + 200))
+        min_x = draw(st.integers(1, 600))
+    max_x = min_x + width
+    kind = draw(st.sampled_from(["small", "large", "pair"]))
+    if kind == "small":
+        residual = draw(st.integers(-200, 200))
+    elif kind == "large":
+        residual = draw(st.integers(-(2**50), 2**50 + 3))
+    else:
+        x = draw(st.integers(min_x, max_x))
+        y = draw(st.integers(x, max_x))
+        s = x**4 + y**4
+        r = math.isqrt(s)
+        residual = draw(st.sampled_from([s - r * r, s - (r + 1) ** 2]))
+    return min_x, max_x, residual
+
+
+@settings(max_examples=20, deadline=None)
+@given(sieve_windows())
+def test_sieve_matches_exact(window):
+    min_x, max_x, residual = window
+    cfg = SearchConfig(min_x=min_x, max_x=max_x, exact_residual=residual)
+    assert scan(cfg) == scan(cfg, force_exact=True)
+
+
+@pytest.mark.parametrize("residual", [8, -7, 72, 0])
+def test_sieve_matches_exact_across_periods(residual):
+    # pairs x < y in one class mod 432 exist only on ranges longer than
+    # 432; min_x 5 leaves the range unaligned to the period and starts
+    # it in the window loop for residual 72
+    cfg = SearchConfig(min_x=5, max_x=5 + 2 * SIEVE_MODULUS, exact_residual=residual)
+    assert scan(cfg) == scan(cfg, force_exact=True)
+
+
+def test_sieve_takes_a_same_class_pair_once():
+    # x and y share a class mod 432, so the sieve block of that class
+    # holds the pair both as (x, y) and as (y, x)
+    x, y = 1000, 1000 + SIEVE_MODULUS
+    z = math.isqrt(x**4 + y**4) + 1
+    residual = x**4 + y**4 - z * z
+    assert _kernel_min_x(abs(residual)) <= x  # the pair is in the sieve's regime
+    cfg = SearchConfig(min_x=x, max_x=y, exact_residual=residual)
+    hits = rows(scan(cfg))
+    assert hits.count((x, y, z, residual)) == 1
+    assert hits == rows(scan(cfg, force_exact=True))
+
+
+def test_threshold_zero_is_sieved_as_residual_zero():
+    cfg = SearchConfig(max_x=600, threshold=0)
+    assert scan(cfg) == scan(SearchConfig(max_x=600, exact_residual=0)) == []
+
+
+def test_force_exact_runs_no_sieve(monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("force_exact reached the sieve")
+
+    monkeypatch.setattr(search, "_admissible", no_sieve)
+    monkeypatch.setattr(search, "_scan_sieved", no_sieve)
+    cfg = SearchConfig(max_x=40, exact_residual=8)
+    assert rows(scan(cfg, force_exact=True)) == naive_scan(1, 40, exact_residual=8)
+
+
+def test_kernel_min_x():
+    for t in (0, 1, 7, 8, 50, 20000, 10**12, 2**50 + 3):
+        x = _kernel_min_x(t)
+        assert 2 * x**4 > t * t >= 2 * (x - 1) ** 4
+
+
+def test_huge_threshold_window_is_refused():
+    # about 2.1e8 rows; refused before anything runs
+    with pytest.raises(ValueError, match="rows"):
+        SearchConfig(max_x=20, threshold=10**12)
+    with pytest.raises(ValueError, match="rows"):
+        SearchConfig(min_x=KERNEL_MAX_X, max_x=KERNEL_MAX_X + 1000, threshold=10**20)
+
+
+def test_extra_rows_bound_holds_and_admits_the_dense_workload():
+    for max_x, threshold in ((60, 50), (40, 2000), (25, 30), (12, 10**5)):
+        cfg = SearchConfig(max_x=max_x, threshold=threshold)
+        x0 = _kernel_start(cfg)  # the window loop takes the x below it
+        window_rows = [h for h in scan(cfg, force_exact=True) if h.x < x0]
+        window_pairs = sum(max_x - x + 1 for x in range(1, x0))
+        assert len(window_rows) <= window_pairs + _extra_rows_bound(cfg)
+    for max_x in range(393, 401):  # the scan-dense benchmark configs
+        assert _extra_rows_bound(SearchConfig(max_x=max_x, threshold=20000)) <= MAX_WINDOW_ROWS
+    # past KERNEL_MAX_X every pair takes the window loop, yet a small
+    # threshold adds at most one row per x
+    cfg = SearchConfig(min_x=2 * KERNEL_MAX_X, max_x=2 * KERNEL_MAX_X + 10**4, threshold=10**6)
+    assert _extra_rows_bound(cfg) == 10**4 + 1
+    cfg = SearchConfig(min_x=2 * KERNEL_MAX_X, max_x=2 * KERNEL_MAX_X + 10**8)
+    assert _extra_rows_bound(cfg) == 0  # threshold 0 adds no row
 
 
 def test_no_delta_zero_ever():
