@@ -7,41 +7,42 @@ pair are exactly the z with s - hi <= z^2 <= s - lo.  With t = max(-lo,
 hi), once 2*x^4 > t^2 consecutive squares straddling s are more than 2t
 apart, so only the two candidates isqrt(s) and isqrt(s) + 1 can hit.
 
-That regime is served by one vectorized kernel, one numpy row of y per
-x.  It forms s in int64 and lets it wrap mod 2^64, estimates
-r = isqrt(s) as sqrt(x^4 + y^4) in float64, and forms d = s - r*r, which
-wraps too.  The wrapped d is nevertheless the exact residual: r is off
-by at most one, so the true |s - r^2| is at most 4r + 3, far below 2^63,
-and a value below 2^63 survives reduction mod 2^64 unchanged.  Moving r
-by one where d < 0 or d > 2r then makes r = isqrt(s) exactly.  The float
-estimate errs by at most about r * 2^-52, which stays below one up to
-KERNEL_MAX_X.
+That regime is served by one vectorized kernel for every window.  It
+forms s in int64 and lets it wrap mod 2^64, estimates r = isqrt(s) as
+sqrt(x^4 + y^4) in float64, and forms d = s - r*r, which wraps too.  The
+wrapped d is nevertheless the exact residual: r is off by at most one,
+so the true |s - r^2| is at most 4r + 3, far below 2^63, and a value
+below 2^63 survives reduction mod 2^64 unchanged.  Moving r by one where
+d < 0 or d > 2r then makes r = isqrt(s) exactly.  The float estimate
+errs by at most about r * 2^-52, which stays below one up to
+KERNEL_MAX_X.  Candidate r hits iff lo <= d <= hi, and r + 1 iff
+lo <= d - 2r - 1 <= hi; as r >= t, at most one of them does.
 
-A threshold window (lo < hi) runs the kernel one numpy row of y per x.
-A window of one value R (an exact residual, or threshold 0) runs it
-behind a congruence sieve instead.  A hit means s - R = z^2, so s - R
-is a square mod M = SIEVE_MODULUS = 432 = 2^4 * 3^3, and the sieve keeps
-only the pairs whose classes (x mod M, y mod M) allow that: 10.49% of
-them for R = 8.  It drops only pairs that cannot hit, and every pair it
-keeps is still checked exactly by the kernel.  Since the test is
-symmetric in x and y, each pair is taken once, under the smaller of its
-two classes: class c is paired with the admissible classes c' >= c, in
-blocks of at most SIEVE_BLOCK_PAIRS pairs.
+The kernel runs behind a congruence sieve.  A hit means s - v = z^2 for
+some v in lo..hi, so s - v is a square mod M = SIEVE_MODULUS = 432 =
+2^4 * 3^3, and the kernel evaluates only the pairs whose classes
+(x mod M, y mod M) allow that: 10.49% of them for an exact residual 8,
+all of them for a threshold of 9 or more.  The sieve drops only pairs
+that cannot hit, and every pair it keeps is still checked exactly.
+Since the test is symmetric in x and y, each pair is taken once, under
+the smaller of its two classes: class c is paired with the admissible
+classes c' >= c, in blocks of at most SIEVE_BLOCK_PAIRS pairs.
 
 The pure-Python window loop serves the rest: the small-s regime
 2*x^4 <= t^2, max_x above KERNEL_MAX_X, and force_exact.  It is the
-reference the kernel and the sieve are tested against.  Threshold
-configs for which the window loop could emit more than MAX_WINDOW_ROWS
-rows beyond one per pair are refused before anything runs.
+reference the kernel is tested against.  Threshold configs for which
+the window loop could emit more than MAX_WINDOW_ROWS rows beyond one
+per pair are refused before anything runs.
 
-Workers split the window-loop x values, the kernel x values and the
-sieve classes between them in interleaved stripes, and the merged
+The window-loop x values and the kernel's classes are split into
+interleaved stripes, run by at most one process per CPU, and the merged
 result is sorted by (y, x, z), so output is independent of the worker
 count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import isqrt
 from multiprocessing import Pool
@@ -59,7 +60,8 @@ __all__ = ["SearchConfig", "SearchHit", "scan", "verify_hit"]
 # 2^50 is exact in both tables, so x^4 is rounded once.
 KERNEL_MAX_X = 2**25
 
-# Upper bound on worker processes; a pool never exceeds the x-range.
+# Upper bound on workers, the stripes a scan is split into.  A scan has
+# at most one stripe per x in the range and one process per CPU.
 MAX_WORKERS = 1024
 
 # Modulus of the congruence sieve, 2^4 * 3^3.  M = 2160 (adding the
@@ -68,8 +70,8 @@ MAX_WORKERS = 1024
 # classes cost more in per-block overhead than the pairs they drop.
 SIEVE_MODULUS = 432
 
-# Most pairs one sieve block evaluates; keeps its arrays within cache
-# and its memory flat at any max_x.
+# Most pairs one kernel block evaluates, for every window; keeps its
+# arrays within cache and its memory flat at any max_x.
 SIEVE_BLOCK_PAIRS = 2**15
 
 # Most rows a threshold may add to the window loop beyond one per pair,
@@ -181,75 +183,54 @@ def _pow4(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v2 * v2, f2 * f2
 
 
-def _pow4_tables(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """x^4 mod 2^64 as int64 and x^4 as float64, indexed by x - lo."""
-    return _pow4(np.arange(lo, hi + 1, dtype=np.int64))
-
-
 def _isqrt(s: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """r = isqrt(s) and d = s - r*r elementwise, for 1-D s = x^4 + y^4
-    held mod 2^64 and its float64 estimate f from the pow4 tables."""
+    held mod 2^64 and its float64 estimate f, both from _pow4."""
     r = np.sqrt(f).astype(np.int64)
     d = s - r * r  # exact: |s - r^2| <= 4r + 3 < 2^63
     # r is too big where d < 0 and too small where s >= (r + 1)^2; the
     # estimate is rarely off, so only those entries are corrected
     off = np.flatnonzero((d < 0) | (d > 2 * r))
-    r[off] += np.where(d[off] < 0, -1, 1)
-    d[off] = s[off] - r[off] * r[off]
+    if off.size:
+        r[off] += np.where(d[off] < 0, -1, 1)
+        d[off] = s[off] - r[off] * r[off]
     return r, d
 
 
-def _isqrt_row(i: int, p4: np.ndarray, f4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """r = isqrt(s) and d = s - r*r for s = x^4 + y^4 over one kernel row.
-
-    x is table index i and y runs over indices i.. of the tables.
-    """
-    return _isqrt(p4[i] + p4[i:], f4[i] + f4[i:])  # s wraps mod 2^64 without warning
-
-
-def _scan_x_kernel(
-    x: int, x_lo: int, p4: np.ndarray, f4: np.ndarray, cfg: SearchConfig
-) -> list[_Row]:
-    # valid only when 2*x^4 > t^2 for the threshold window (-t, t): then
-    # each pair admits at most the two candidates isqrt(s) and
-    # isqrt(s) + 1, and t fits int64
-    r, d = _isqrt_row(x - x_lo, p4, f4)
-    t = cfg.threshold
-    rows: list[_Row] = []
-    for z_arr, d_arr in ((r, d), (r + 1, d - 2 * r - 1)):
-        for j in np.flatnonzero(np.abs(d_arr) <= t):
-            rows.append((x, x + int(j), int(z_arr[j]), int(d_arr[j])))
-    return rows
-
-
-def _admissible(residual: int) -> np.ndarray:
+def _admissible(lo: int, hi: int) -> np.ndarray:
     """M x M bool table, M = SIEVE_MODULUS: entry [a, b] is True iff
-    a^4 + b^4 - residual is a square mod M.  Symmetric in a and b."""
+    a^4 + b^4 - v is a square mod M for some v in lo..hi.  Symmetric in
+    a and b; all True for a threshold window (-t, t) with t >= 9."""
     m = SIEVE_MODULUS
     k = np.arange(m, dtype=np.int64)
     is_square = np.zeros(m, dtype=bool)
     is_square[k * k % m] = True
+    shifts = (lo % m + np.arange(min(hi - lo + 1, m))) % m  # the v mod M
+    reachable = np.zeros(m, dtype=bool)  # u with u - v a square mod M
+    reachable[(np.flatnonzero(is_square)[:, None] + shifts[None, :]) % m] = True
     k4 = (k**4 % m).astype(np.int16)  # int16 keeps the M x M temporaries small
-    return is_square[(k4[:, None] + k4[None, :] + (-residual) % m) % m]
+    return reachable[(k4[:, None] + k4[None, :]) % m]
 
 
-def _scan_sieved(residual: int, x0: int, max_x: int, index: int, stride: int) -> list[_Row]:
-    """Hits x^4 + y^4 - z^2 = residual over x0 <= x <= y <= max_x, for
-    this worker's stripe of the sieve classes.
+def _scan_kernel(lo: int, hi: int, x0: int, max_x: int, index: int, stride: int) -> list[_Row]:
+    """Hits lo <= x^4 + y^4 - z^2 <= hi over x0 <= x <= y <= max_x, for
+    this worker's stripe of the classes mod SIEVE_MODULUS.
 
-    Valid only when 2*x0^4 > residual^2, so that z is isqrt(s) or
-    isqrt(s) + 1 and the residual fits int64.
+    Valid only when 2*x0^4 > t^2 for t = max(-lo, hi), so that z is
+    isqrt(s) or isqrt(s) + 1, never both, and the residual fits int64.
     """
     m = SIEVE_MODULUS
-    table = _admissible(residual)
-    base = x0 - x0 % m
-    rows: list[_Row] = []
+    table = _admissible(lo, hi)
+    span = hi - lo
+    periods = np.arange(x0 - x0 % m, max_x + 1, m, dtype=np.int64)
+    hits: list[tuple[np.ndarray, ...]] = []
     for c in range(index, m, stride):
         xs = np.arange(x0 + (c - x0) % m, max_x + 1, m, dtype=np.int64)
-        partners = np.flatnonzero(table[c, c:]) + c
-        ys = (np.arange(base, max_x + 1, m, dtype=np.int64)[:, None] + partners).ravel()
+        if not xs.size:
+            continue
+        ys = (periods[:, None] + (np.flatnonzero(table[c, c:]) + c)).ravel()
         ys = ys[(ys >= x0) & (ys <= max_x)]
-        if not xs.size or not ys.size:
+        if not ys.size:
             continue
         p4x, f4x = _pow4(xs)
         p4y, f4y = _pow4(ys)
@@ -258,53 +239,63 @@ def _scan_sieved(residual: int, x0: int, max_x: int, index: int, stride: int) ->
         for i in range(0, xs.size, h):
             for j in range(0, ys.size, w):
                 width = min(w, ys.size - j)
-                s = (p4x[i : i + h, None] + p4y[None, j : j + w]).ravel()
-                r, d = _isqrt(s, (f4x[i : i + h, None] + f4y[None, j : j + w]).ravel())
-                # s - r^2 = residual, or s - (r + 1)^2 = residual
-                for k in np.flatnonzero((d == residual) | (d - residual == 2 * r + 1)).tolist():
-                    x, y = int(xs[i + k // width]), int(ys[j + k % width])
-                    if y < x and y % m == c:
-                        continue  # the same pair as (y, x) in this block
-                    z = int(r[k]) + (int(d[k]) != residual)
-                    rows.append((min(x, y), max(x, y), z, residual))
-    return rows
+                r, d = _isqrt(
+                    (p4x[i : i + h, None] + p4y[None, j : j + w]).ravel(),  # wraps mod 2^64
+                    (f4x[i : i + h, None] + f4y[None, j : j + w]).ravel(),
+                )
+                # lo <= v <= hi iff v - lo, read as unsigned, is at most hi - lo
+                u = d - lo
+                at_r = u.view(np.uint64) <= span
+                u -= 2 * r + 1  # s - (r + 1)^2 - lo
+                k = np.flatnonzero(at_r | (u.view(np.uint64) <= span))
+                if k.size:
+                    hits.append((xs[i + k // width], ys[j + k % width], r[k], d[k]))
+    if not hits:
+        return []
+    x, y, r, d = map(np.concatenate, zip(*hits))
+    second = (d < lo) | (d > hi)  # then it is r + 1 that hit
+    # a pair of two values of one class appears in that class's block
+    # twice, as (x, y) and as (y, x)
+    keep = (x <= y) | (x % m != y % m)
+    return list(
+        zip(
+            np.minimum(x, y)[keep].tolist(),
+            np.maximum(x, y)[keep].tolist(),
+            (r + second)[keep].tolist(),
+            np.where(second, d - 2 * r - 1, d)[keep].tolist(),
+        )
+    )
 
 
 def _scan_stripe(job: tuple[SearchConfig, int, int, bool]) -> list[_Row]:
     cfg, index, stride, force_exact = job
-    lo, hi = cfg.window
     x0 = _kernel_start(cfg, force_exact)
     rows: list[_Row] = []
     for x in range(cfg.min_x + index, x0, stride):
         rows.extend(_scan_x_exact(x, cfg))
-    if x0 > cfg.max_x:
-        return rows
-    if lo == hi:
-        rows.extend(_scan_sieved(lo, x0, cfg.max_x, index, stride))
-    else:
-        p4, f4 = _pow4_tables(x0, cfg.max_x)
-        for x in range(x0 + index, cfg.max_x + 1, stride):
-            rows.extend(_scan_x_kernel(x, x0, p4, f4, cfg))
+    if x0 <= cfg.max_x:
+        rows.extend(_scan_kernel(*cfg.window, x0, cfg.max_x, index, stride))
     return rows
 
 
 def _pool_size(cfg: SearchConfig) -> int:
-    """Worker processes a scan starts: at most one per x in the range."""
+    """Stripes a scan is split into: at most one per x in the range."""
     return min(cfg.workers, cfg.max_x - cfg.min_x + 1)
 
 
 def scan(cfg: SearchConfig, force_exact: bool = False) -> list[SearchHit]:
     """All qualifying hits, each exactly once, sorted by (y, x, z).
 
-    force_exact switches off the vectorized kernel and the sieve; results
-    are identical either way (asserted by the test suite on overlap ranges).
+    force_exact switches off the vectorized kernel; results are identical
+    either way (asserted by the test suite on overlap ranges).
     """
-    workers = _pool_size(cfg)
-    jobs = [(cfg, i, workers, force_exact) for i in range(workers)]
-    if workers == 1:
-        chunks = [_scan_stripe(jobs[0])]
+    stripes = _pool_size(cfg)
+    jobs = [(cfg, i, stripes, force_exact) for i in range(stripes)]
+    processes = min(stripes, os.cpu_count() or 1)
+    if processes == 1:
+        chunks = [_scan_stripe(job) for job in jobs]
     else:
-        with Pool(workers) as pool:
+        with Pool(processes) as pool:
             chunks = pool.map(_scan_stripe, jobs)
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r[1], r[0], r[2]))

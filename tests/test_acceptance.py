@@ -145,7 +145,7 @@ def test_criterion_7_no_exact_solutions():
 
 def test_criterion_8_worker_determinism():
     with criterion(8, "search output byte-identical for workers 1, 2, 8 at max_x 5000"):
-        # the threshold window runs the per-x kernel, the exact residual the sieve
+        # the threshold window and the exact residual run the same class-blocked kernel
         for window in ({"threshold": 8}, {"exact_residual": 8}):
             outputs = []
             for workers in (1, 2, 8):

@@ -1,5 +1,6 @@
 """Command-line surface tests, run in-process via cli.main."""
 
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 from nearmiss4 import cli, identities, sequences
 
 FIXTURE = Path(__file__).parent / "data" / "search_oracle_max60_t50.tsv"
+BENCH_REFS = Path(__file__).parent.parent / "perfbench" / "refs.json"
 
 PAPER_TSV = (
     "0\t22\t23\t717\n"
@@ -174,6 +176,19 @@ def test_search_matches_oracle_fixture_byte_for_byte(capsys):
     code, out, _ = run(capsys, "search", "--max-x", "60", "--threshold", "50")
     assert code == 0
     assert out == FIXTURE.read_text()
+
+
+def test_search_matches_benchmark_refs_byte_for_byte(capsys):
+    # every scan range of the benchmark, held to the sha256 of the
+    # reference output recorded in perfbench/refs.json
+    refs = json.loads(BENCH_REFS.read_text())["scan"]
+    assert refs
+    for key, ref in refs.items():
+        code, out, _ = run(capsys, *key.split(), "--workers", "1")
+        assert code == 0
+        data = out.encode()
+        assert (len(data), out.count("\n")) == (ref["bytes"], ref["rows"]), key
+        assert hashlib.sha256(data).hexdigest() == ref["sha256"], key
 
 
 def test_search_zero_hits_is_success(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,11 @@ from nearmiss4.search import (
     SearchHit,
     _admissible,
     _extra_rows_bound,
-    _isqrt_row,
+    _isqrt,
     _kernel_min_x,
     _kernel_start,
     _pool_size,
-    _pow4_tables,
+    _pow4,
     scan,
     verify_hit,
 )
@@ -132,12 +133,49 @@ def test_worker_count_does_not_change_output():
     for workers in (2, 3, 5):
         cfg = SearchConfig(max_x=120, threshold=10, workers=workers)
         assert rows(scan(cfg)) == base
-    # the sieve splits its x classes between the workers
-    base = rows(scan(SearchConfig(max_x=1200, exact_residual=8)))
-    assert (1058, 1103, 1653213, 8) in base
-    for workers in (2, 3, 5, 8):
-        cfg = SearchConfig(max_x=1200, exact_residual=8, workers=workers)
-        assert rows(scan(cfg)) == base
+    # the kernel splits its x classes between the workers
+    for window in ({"exact_residual": 8}, {"threshold": 300}):
+        base = rows(scan(SearchConfig(max_x=1200, **window)))
+        assert (1058, 1103, 1653213, 8) in base
+        for workers in (2, 3, 5, 8):
+            cfg = SearchConfig(max_x=1200, workers=workers, **window)
+            assert rows(scan(cfg)) == base
+
+
+def test_processes_are_capped_at_the_cpu_count(monkeypatch):
+    # the stripes stay as many as the workers asked for; only the
+    # processes that run them are capped
+    base = rows(scan(SearchConfig(max_x=1200, threshold=300)))
+    started = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            assert [job[1:3] for job in jobs] == [(i, 8) for i in range(8)]
+            return list(map(fn, jobs))
+
+    monkeypatch.setattr(search, "Pool", InProcessPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    assert rows(scan(SearchConfig(max_x=1200, threshold=300, workers=8))) == base
+    assert started == [2]
+
+    def no_pool(processes):
+        raise AssertionError("one CPU started a pool")
+
+    monkeypatch.setattr(search, "Pool", no_pool)
+    for cpus in (1, None):
+        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+        for window in ({"exact_residual": 8}, {"threshold": 300}):
+            cfg = SearchConfig(max_x=1200, workers=8, **window)
+            assert rows(scan(cfg)) == rows(scan(replace(cfg, workers=1)))
 
 
 def test_more_workers_than_stripes():
@@ -174,12 +212,19 @@ def test_family_member_two_found():
     assert hits == [(50806, 52967, 3812308653, 8)]
 
 
-def test_narrow_high_window_matches_exact():
+def test_narrow_high_window_matches_exact(monkeypatch):
     lo, hi = 10_000_000, 10_000_150
-    p4, f4 = _pow4_tables(lo, hi)
-    assert len(p4) == len(f4) == hi - lo + 1  # tables cover the window only
+    tabled = []
+
+    def recording_pow4(v):
+        tabled.append(v)
+        return _pow4(v)
+
+    monkeypatch.setattr(search, "_pow4", recording_pow4)
     cfg = SearchConfig(min_x=lo, max_x=hi, threshold=10**12)
     hits = scan(cfg)
+    # the pow4 tables cover the window only, never 1..max_x
+    assert tabled and all(lo <= v.min() and v.max() <= hi for v in tabled)
     assert hits and hits == scan(cfg, force_exact=True)
     cfg = SearchConfig(min_x=lo, max_x=hi, exact_residual=8)
     assert scan(cfg) == scan(cfg, force_exact=True)
@@ -201,8 +246,8 @@ def boundary_pairs(draw):
 @given(boundary_pairs())
 def test_kernel_row_is_exact_isqrt(pair):
     x, y = pair
-    p4, f4 = _pow4_tables(x, y)
-    r, d = _isqrt_row(0, p4, f4)
+    p4, f4 = _pow4(np.arange(x, y + 1, dtype=np.int64))
+    r, d = _isqrt(p4[0] + p4, f4[0] + f4)  # s wraps mod 2^64 without warning
     for j, (r_j, d_j) in enumerate(zip(r.tolist(), d.tolist())):
         s = x**4 + (x + j) ** 4
         assert r_j == math.isqrt(s)
@@ -215,11 +260,11 @@ def test_kernel_repairs_off_by_one_estimates(skew):
     # sampled pair had it too low; skewed float tables move sqrt by up to
     # 0.32 either way, so that the kernel corrects in both directions
     lo, hi = 1_000_000, 1_000_060
-    p4, f4 = _pow4_tables(lo, hi)
+    p4, f4 = _pow4(np.arange(lo, hi + 1, dtype=np.int64))
     f4 = f4 * skew
     off = 0
     for i in range(hi - lo + 1):
-        r, d = _isqrt_row(i, p4, f4)
+        r, d = _isqrt(p4[i] + p4[i:], f4[i] + f4[i:])
         estimate = np.sqrt(f4[i] + f4[i:]).astype(np.int64)
         for j, (r_j, d_j) in enumerate(zip(r.tolist(), d.tolist())):
             s = (lo + i) ** 4 + (lo + i + j) ** 4
@@ -250,25 +295,36 @@ def test_kernel_matches_exact_at_boundaries(pair, fraction):
             assert any((h.x, h.y, h.delta) == (x, y, nearest) for h in hits)
 
 
-@pytest.mark.parametrize("residual", [8, 0, -7, 72, 2**50 + 3, -(2**40)])
-def test_admissible_table_is_the_squares_mod_432(residual):
+WINDOWS = [(r, r) for r in (8, 0, -7, 72, 2**50 + 3, -(2**40))] + [(-5, 5), (3, 9), (-50, 50)]
+
+
+@pytest.mark.parametrize(
+    "lo, hi", WINDOWS, ids=[str(lo) if lo == hi else f"{lo}..{hi}" for lo, hi in WINDOWS]
+)
+def test_admissible_table_is_the_squares_mod_432(lo, hi):
     m = SIEVE_MODULUS
     squares = {k * k % m for k in range(m)}
-    expected = [[(a**4 + b**4 - residual) % m in squares for b in range(m)] for a in range(m)]
+    expected = [
+        [any((a**4 + b**4 - v) % m in squares for v in range(lo, hi + 1)) for b in range(m)]
+        for a in range(m)
+    ]
     assert m == 432
-    assert _admissible(residual).tolist() == expected
+    assert _admissible(lo, hi).tolist() == expected
 
 
 def test_admissible_share_for_the_family_residual():
-    assert _admissible(8).sum() == 19584  # 10.49% of 432^2
-    assert not _admissible(100).any()  # no kernel pair can have residual 100
+    assert _admissible(8, 8).sum() == 19584  # 10.49% of 432^2
+    assert not _admissible(100, 100).any()  # no kernel pair can have residual 100
+    # thresholds from 9 on admit every class pair
+    assert _admissible(-9, 9).all() and not _admissible(-8, 8).all()
 
 
 @st.composite
 def sieve_windows(draw):
-    """(min_x, max_x, residual): ranges shorter than one sieve period or
-    spanning several, and residuals small, large, negative or taken from
-    a pair in the range so that the range holds a hit."""
+    """(min_x, max_x, window): ranges shorter than one sieve period or
+    spanning several; exact residuals small, large, negative or taken
+    from a pair in the range so that the range holds a hit, and
+    thresholds up to 5000."""
     if draw(st.booleans()):
         width = draw(st.integers(0, SIEVE_MODULUS - 1))
         min_x = draw(st.one_of(st.integers(1, 3000), st.integers(1, KERNEL_MAX_X - width)))
@@ -276,7 +332,9 @@ def sieve_windows(draw):
         width = draw(st.integers(SIEVE_MODULUS, SIEVE_MODULUS + 200))
         min_x = draw(st.integers(1, 600))
     max_x = min_x + width
-    kind = draw(st.sampled_from(["small", "large", "pair"]))
+    kind = draw(st.sampled_from(["small", "large", "pair", "threshold"]))
+    if kind == "threshold":
+        return min_x, max_x, {"threshold": draw(st.integers(0, 5000))}
     if kind == "small":
         residual = draw(st.integers(-200, 200))
     elif kind == "large":
@@ -287,14 +345,14 @@ def sieve_windows(draw):
         s = x**4 + y**4
         r = math.isqrt(s)
         residual = draw(st.sampled_from([s - r * r, s - (r + 1) ** 2]))
-    return min_x, max_x, residual
+    return min_x, max_x, {"exact_residual": residual}
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=27, deadline=None)
 @given(sieve_windows())
 def test_sieve_matches_exact(window):
-    min_x, max_x, residual = window
-    cfg = SearchConfig(min_x=min_x, max_x=max_x, exact_residual=residual)
+    min_x, max_x, fields = window
+    cfg = SearchConfig(min_x=min_x, max_x=max_x, **fields)
     assert scan(cfg) == scan(cfg, force_exact=True)
 
 
@@ -308,16 +366,17 @@ def test_sieve_matches_exact_across_periods(residual):
 
 
 def test_sieve_takes_a_same_class_pair_once():
-    # x and y share a class mod 432, so the sieve block of that class
+    # x and y share a class mod 432, so the kernel block of that class
     # holds the pair both as (x, y) and as (y, x)
     x, y = 1000, 1000 + SIEVE_MODULUS
     z = math.isqrt(x**4 + y**4) + 1
     residual = x**4 + y**4 - z * z
-    assert _kernel_min_x(abs(residual)) <= x  # the pair is in the sieve's regime
-    cfg = SearchConfig(min_x=x, max_x=y, exact_residual=residual)
-    hits = rows(scan(cfg))
-    assert hits.count((x, y, z, residual)) == 1
-    assert hits == rows(scan(cfg, force_exact=True))
+    assert _kernel_min_x(abs(residual)) <= x  # the pair is in the kernel's regime
+    for window in ({"exact_residual": residual}, {"threshold": abs(residual)}):
+        cfg = SearchConfig(min_x=x, max_x=y, **window)
+        hits = rows(scan(cfg))
+        assert hits.count((x, y, z, residual)) == 1
+        assert hits == rows(scan(cfg, force_exact=True))
 
 
 def test_threshold_zero_is_sieved_as_residual_zero():
@@ -327,10 +386,10 @@ def test_threshold_zero_is_sieved_as_residual_zero():
 
 def test_force_exact_runs_no_sieve(monkeypatch):
     def no_sieve(*args):
-        raise AssertionError("force_exact reached the sieve")
+        raise AssertionError("force_exact reached the kernel")
 
     monkeypatch.setattr(search, "_admissible", no_sieve)
-    monkeypatch.setattr(search, "_scan_sieved", no_sieve)
+    monkeypatch.setattr(search, "_scan_kernel", no_sieve)
     cfg = SearchConfig(max_x=40, exact_residual=8)
     assert rows(scan(cfg, force_exact=True)) == naive_scan(1, 40, exact_residual=8)
 
