@@ -83,16 +83,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit_rows(fmt: str, names: tuple[str, ...], rows: Iterable[tuple[int, ...]]) -> None:
     if fmt == "tsv":
         for row in rows:
-            print("\t".join(str(v) for v in row))
+            print("\t".join(map(str, row)))
     else:
         for row in rows:
-            doc = dict(zip(names, (str(v) for v in row)))
+            doc = dict(zip(names, map(str, row)))
             print(json.dumps(doc, separators=(",", ":")))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    triplets = sequences.gen_recurrence(args.count)
-    _emit_rows(args.format, ("n", "x", "y", "z"), ((t.n, t.x, t.y, t.z) for t in triplets))
+    _emit_rows(args.format, sequences.Triplet._fields, sequences.gen_recurrence(args.count))
     return EXIT_OK
 
 
@@ -177,7 +176,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     hits = search.scan(cfg)
     elapsed = time.perf_counter() - start
-    _emit_rows(args.format, ("x", "y", "z", "delta"), ((h.x, h.y, h.z, h.delta) for h in hits))
+    _emit_rows(args.format, search.SearchHit._fields, hits)
     print(
         f"scanned x in {cfg.min_x}..{cfg.max_x} with {cfg.workers} worker(s): "
         f"{len(hits)} hit(s) in {elapsed:.2f}s",

@@ -3,20 +3,22 @@
 A hit is a pair min_x <= x <= y <= max_x and a z >= 1 whose residual
 s - z^2, s = x^4 + y^4, lies in the configured window [lo, hi]: (R, R)
 for an exact residual R, (-t, t) for a threshold t.  So the hits of a
-pair are exactly the z with s - hi <= z^2 <= s - lo.  With t = max(-lo,
-hi), once 2*x^4 > t^2 consecutive squares straddling s are more than 2t
-apart, so only the two candidates isqrt(s) and isqrt(s) + 1 can hit.
+pair are exactly the z with s - hi <= z^2 <= s - lo, and none exceeds
+r = isqrt(s - lo).  Let t = max(-lo, hi) and 2*x^4 > t^2, so s > t^2.
+Two hits z - 1 and z would need 2z - 1 <= hi - lo <= 2t, so z <= t, and
+(z - 1)^2 >= s - hi > t^2 - t, which no such z >= 1 meets; so the pair
+has at most one hit.  If z hits, r^2 >= z^2 >= s - hi, so r hits too.
+In this regime r is therefore the one candidate: the pair hits iff
+s - lo - r^2 <= hi - lo, and its residual is s - r^2.
 
 That regime is served by one vectorized kernel for every window.  It
-forms s in int64 and lets it wrap mod 2^64, estimates r = isqrt(s) as
-sqrt(x^4 + y^4) in float64, and forms d = s - r*r, which wraps too.  The
-wrapped d is nevertheless the exact residual: r is off by at most one,
-so the true |s - r^2| is at most 4r + 3, far below 2^63, and a value
+forms s - lo in int64 and lets it wrap mod 2^64, estimates r as
+sqrt(x^4 + y^4 - lo) in float64, and forms d = s - lo - r*r, which wraps
+too.  The wrapped d is nevertheless exact: r is off by at most one, so
+the true |s - lo - r^2| is at most 4r + 3, far below 2^63, and a value
 below 2^63 survives reduction mod 2^64 unchanged.  Moving r by one where
-d < 0 or d > 2r then makes r = isqrt(s) exactly.  The float estimate
-errs by at most about r * 2^-52, which stays below one up to
-KERNEL_MAX_X.  Candidate r hits iff lo <= d <= hi, and r + 1 iff
-lo <= d - 2r - 1 <= hi; as r >= t, at most one of them does.
+d < 0 or d > 2r then makes r = isqrt(s - lo) exactly.  The float
+estimate errs by well under one up to KERNEL_MAX_X.
 
 The kernel runs behind a congruence sieve.  A hit means s - v = z^2 for
 some v in lo..hi, so s - v is a square mod M = SIEVE_MODULUS = 432 =
@@ -36,8 +38,9 @@ per pair are refused before anything runs.
 
 The window-loop x values and the kernel's classes are split into
 interleaved stripes, run by at most one process per CPU, and the merged
-result is sorted by (y, x, z), so output is independent of the worker
-count.
+rows are sorted by (y, x, z), so output is independent of the worker
+count.  Workers return plain tuples, which pickle several times faster
+than SearchHits; each merged row becomes a SearchHit once.
 """
 
 from __future__ import annotations
@@ -46,18 +49,21 @@ import os
 from dataclasses import dataclass
 from math import isqrt
 from multiprocessing import Pool
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = ["SearchConfig", "SearchHit", "scan", "verify_hit"]
 
 # Largest max_x the kernel serves.  The float64 tables hold x^4 and y^4
-# to a relative error of 2^-53 each; their sum and the square root add
-# one rounding each, so the estimate of r = sqrt(s) is off by at most
-# about r * 2^-52.  With y <= 2^25, r <= sqrt(2) * 2^50 and that error
-# stays below 0.36, so truncating the estimate lands on isqrt(s) - 1,
-# isqrt(s) or isqrt(s) + 1, which the +/-1 correction repairs.  x^2 <=
-# 2^50 is exact in both tables, so x^4 is rounded once.
+# to a relative error of 2^-53 each; subtracting lo, the sum and the
+# square root add one rounding each, and |lo| < 1.5 * x^2 is tiny
+# beside s, so the estimate of r = sqrt(s - lo) is off by at most about
+# 1.25 * r * 2^-52.  With y <= 2^25, r <= sqrt(2) * 2^50 and that error
+# stays below 0.45, so truncating the estimate lands on r - 1, r or
+# r + 1, which the +/-1 correction repairs.  x^2 <= 2^50 is exact in
+# both tables, so x^4 is rounded once.
 KERNEL_MAX_X = 2**25
 
 # Upper bound on workers, the stripes a scan is split into.  A scan has
@@ -113,8 +119,7 @@ class SearchConfig:
         return -self.threshold, self.threshold
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(NamedTuple):
     x: int
     y: int
     z: int
@@ -140,11 +145,9 @@ def _scan_x_exact(x: int, cfg: SearchConfig) -> list[_Row]:
 
 
 def _kernel_min_x(t: int) -> int:
-    """Smallest x >= 1 with 2*x^4 > t^2, where the kernel applies."""
-    x = isqrt(isqrt(t * t // 2))
-    while 2 * x**4 <= t * t:
-        x += 1
-    return x
+    """Smallest x >= 1 with 2*x^4 > t^2, where the kernel applies: the
+    least x with x^4 > t^2 // 2, one above its integer fourth root."""
+    return isqrt(isqrt(t * t // 2)) + 1
 
 
 def _kernel_start(cfg: SearchConfig, force_exact: bool = False) -> int:
@@ -184,8 +187,8 @@ def _pow4(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _isqrt(s: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """r = isqrt(s) and d = s - r*r elementwise, for 1-D s = x^4 + y^4
-    held mod 2^64 and its float64 estimate f, both from _pow4."""
+    """r = isqrt(s) and d = s - r*r elementwise, for 1-D s = x^4 + y^4 - lo
+    held mod 2^64 and its float64 estimate f, both from _pow4 tables."""
     r = np.sqrt(f).astype(np.int64)
     d = s - r * r  # exact: |s - r^2| <= 4r + 3 < 2^63
     # r is too big where d < 0 and too small where s >= (r + 1)^2; the
@@ -216,8 +219,8 @@ def _scan_kernel(lo: int, hi: int, x0: int, max_x: int, index: int, stride: int)
     """Hits lo <= x^4 + y^4 - z^2 <= hi over x0 <= x <= y <= max_x, for
     this worker's stripe of the classes mod SIEVE_MODULUS.
 
-    Valid only when 2*x0^4 > t^2 for t = max(-lo, hi), so that z is
-    isqrt(s) or isqrt(s) + 1, never both, and the residual fits int64.
+    Valid only when 2*x0^4 > t^2 for t = max(-lo, hi), so that a pair's
+    only possible hit is z = isqrt(s - lo), and the residual fits int64.
     """
     m = SIEVE_MODULUS
     table = _admissible(lo, hi)
@@ -234,26 +237,23 @@ def _scan_kernel(lo: int, hi: int, x0: int, max_x: int, index: int, stride: int)
             continue
         p4x, f4x = _pow4(xs)
         p4y, f4y = _pow4(ys)
+        p4y -= lo  # y^4 - lo; this and the sums below wrap mod 2^64
+        f4y -= lo
         h = max(1, SIEVE_BLOCK_PAIRS // ys.size)
         w = SIEVE_BLOCK_PAIRS // h
         for i in range(0, xs.size, h):
             for j in range(0, ys.size, w):
                 width = min(w, ys.size - j)
                 r, d = _isqrt(
-                    (p4x[i : i + h, None] + p4y[None, j : j + w]).ravel(),  # wraps mod 2^64
+                    (p4x[i : i + h, None] + p4y[None, j : j + w]).ravel(),
                     (f4x[i : i + h, None] + f4y[None, j : j + w]).ravel(),
                 )
-                # lo <= v <= hi iff v - lo, read as unsigned, is at most hi - lo
-                u = d - lo
-                at_r = u.view(np.uint64) <= span
-                u -= 2 * r + 1  # s - (r + 1)^2 - lo
-                k = np.flatnonzero(at_r | (u.view(np.uint64) <= span))
+                k = np.flatnonzero(d <= span)  # d = s - lo - r^2 >= 0
                 if k.size:
                     hits.append((xs[i + k // width], ys[j + k % width], r[k], d[k]))
     if not hits:
         return []
     x, y, r, d = map(np.concatenate, zip(*hits))
-    second = (d < lo) | (d > hi)  # then it is r + 1 that hit
     # a pair of two values of one class appears in that class's block
     # twice, as (x, y) and as (y, x)
     keep = (x <= y) | (x % m != y % m)
@@ -261,8 +261,8 @@ def _scan_kernel(lo: int, hi: int, x0: int, max_x: int, index: int, stride: int)
         zip(
             np.minimum(x, y)[keep].tolist(),
             np.maximum(x, y)[keep].tolist(),
-            (r + second)[keep].tolist(),
-            np.where(second, d - 2 * r - 1, d)[keep].tolist(),
+            r[keep].tolist(),
+            (d[keep] + lo).tolist(),
         )
     )
 
@@ -298,8 +298,8 @@ def scan(cfg: SearchConfig, force_exact: bool = False) -> list[SearchHit]:
         with Pool(processes) as pool:
             chunks = pool.map(_scan_stripe, jobs)
     rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=lambda r: (r[1], r[0], r[2]))
-    return [SearchHit(*row) for row in rows]
+    rows.sort(key=itemgetter(1, 0, 2))
+    return list(map(SearchHit._make, rows))
 
 
 def verify_hit(hit: SearchHit) -> bool:

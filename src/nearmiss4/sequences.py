@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactmath import QuadElem, isqrt
 
@@ -43,8 +44,7 @@ class CancellationError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class Triplet:
+class Triplet(NamedTuple):
     n: int
     x: int
     y: int

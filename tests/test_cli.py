@@ -3,12 +3,13 @@
 import hashlib
 import json
 import os
+import pickle
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from nearmiss4 import cli, identities, sequences
+from nearmiss4 import cli, identities, search, sequences
 
 FIXTURE = Path(__file__).parent / "data" / "search_oracle_max60_t50.tsv"
 BENCH_REFS = Path(__file__).parent.parent / "perfbench" / "refs.json"
@@ -163,6 +164,27 @@ def test_closed_form_exposes_cancellation(capsys):
     assert "z_n         = 717" in out
     assert "sqrt(577)" in out
     assert "(-1)^n * g  = 48/577" in out
+
+
+@pytest.mark.parametrize(
+    "record, text",
+    [
+        (sequences.Triplet(0, 22, 23, 717), "Triplet(n=0, x=22, y=23, z=717)"),
+        (search.SearchHit(1, 2, 3, 8), "SearchHit(x=1, y=2, z=3, delta=8)"),
+    ],
+)
+def test_output_records(record, text):
+    # the CLI prints these records as they are, one column per field
+    cls = type(record)
+    assert repr(record) == text
+    assert tuple(getattr(record, name) for name in cls._fields) == record
+    with pytest.raises(AttributeError):
+        record.x = 0
+    twin = cls(*record)
+    assert twin is not record and twin == record and hash(twin) == hash(record)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(record, protocol))
+        assert type(back) is cls and back == record
 
 
 def test_search_finds_exact_residual(capsys):

@@ -33,10 +33,6 @@ from nearmiss4.search import (
 FIXTURE = Path(__file__).parent / "data" / "search_oracle_max60_t50.tsv"
 
 
-def rows(hits):
-    return [(h.x, h.y, h.z, h.delta) for h in hits]
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(max_x=10, min_x=0)
@@ -65,18 +61,18 @@ def test_pool_size_never_exceeds_x_range():
 
 def test_exact_residual_eight_small_range():
     hits = scan(SearchConfig(max_x=30, exact_residual=8))
-    assert (1, 2, 3, 8) in rows(hits)
+    assert (1, 2, 3, 8) in hits
     assert all(verify_hit(h) for h in hits)
 
 
 def test_family_members_found():
-    hits = rows(scan(SearchConfig(max_x=60, min_x=2, exact_residual=8)))
+    hits = scan(SearchConfig(max_x=60, min_x=2, exact_residual=8))
     assert (22, 23, 717, 8) in hits
 
 
 def test_matches_committed_oracle_fixture():
     hits = scan(SearchConfig(max_x=60, threshold=50))
-    assert as_tsv(rows(hits)) == FIXTURE.read_text()
+    assert as_tsv(hits) == FIXTURE.read_text()
 
 
 def test_matches_live_oracle_on_random_ranges():
@@ -86,15 +82,15 @@ def test_matches_live_oracle_on_random_ranges():
         max_x = rng.randint(min_x, 40)
         threshold = rng.randint(0, 30)
         cfg = SearchConfig(max_x=max_x, min_x=min_x, threshold=threshold)
-        assert rows(scan(cfg)) == naive_scan(min_x, max_x, threshold=threshold)
+        assert scan(cfg) == naive_scan(min_x, max_x, threshold=threshold)
     # residuals above s and far below it leave some pairs no z at all
     for er in (8, -7, 1, 0, 100, 1000, -50):
         cfg = SearchConfig(max_x=35, exact_residual=er)
-        assert rows(scan(cfg)) == naive_scan(1, 35, exact_residual=er)
+        assert scan(cfg) == naive_scan(1, 35, exact_residual=er)
 
 
 def test_negative_exact_residual():
-    hits = rows(scan(SearchConfig(max_x=10, exact_residual=-7)))
+    hits = scan(SearchConfig(max_x=10, exact_residual=-7))
     assert (1, 1, 3, -7) in hits  # 1 + 1 - 9
     assert all(d == -7 for _, _, _, d in hits)
 
@@ -104,7 +100,7 @@ def test_threshold_zero_finds_nothing():
 
 
 def test_canonical_orientation_and_uniqueness():
-    hits = rows(scan(SearchConfig(max_x=50, threshold=40)))
+    hits = scan(SearchConfig(max_x=50, threshold=40))
     assert all(x <= y for x, y, _, _ in hits)
     assert len(hits) == len(set(hits))
     assert hits == sorted(hits, key=lambda r: (r[1], r[0], r[2]))
@@ -114,7 +110,7 @@ def test_minimal_delta_always_emitted():
     # candidate-window sufficiency: whenever the best possible |delta|
     # for a pair is within threshold, a hit achieves it
     threshold = 30
-    hits = rows(scan(SearchConfig(max_x=25, threshold=threshold)))
+    hits = scan(SearchConfig(max_x=25, threshold=threshold))
     by_pair = {}
     for x, y, z, d in hits:
         by_pair.setdefault((x, y), []).append(abs(d))
@@ -129,23 +125,23 @@ def test_minimal_delta_always_emitted():
 
 
 def test_worker_count_does_not_change_output():
-    base = rows(scan(SearchConfig(max_x=120, threshold=10, workers=1)))
+    base = scan(SearchConfig(max_x=120, threshold=10, workers=1))
     for workers in (2, 3, 5):
         cfg = SearchConfig(max_x=120, threshold=10, workers=workers)
-        assert rows(scan(cfg)) == base
+        assert scan(cfg) == base
     # the kernel splits its x classes between the workers
     for window in ({"exact_residual": 8}, {"threshold": 300}):
-        base = rows(scan(SearchConfig(max_x=1200, **window)))
+        base = scan(SearchConfig(max_x=1200, **window))
         assert (1058, 1103, 1653213, 8) in base
         for workers in (2, 3, 5, 8):
             cfg = SearchConfig(max_x=1200, workers=workers, **window)
-            assert rows(scan(cfg)) == base
+            assert scan(cfg) == base
 
 
 def test_processes_are_capped_at_the_cpu_count(monkeypatch):
     # the stripes stay as many as the workers asked for; only the
     # processes that run them are capped
-    base = rows(scan(SearchConfig(max_x=1200, threshold=300)))
+    base = scan(SearchConfig(max_x=1200, threshold=300))
     started = []
 
     class InProcessPool:
@@ -164,7 +160,7 @@ def test_processes_are_capped_at_the_cpu_count(monkeypatch):
 
     monkeypatch.setattr(search, "Pool", InProcessPool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-    assert rows(scan(SearchConfig(max_x=1200, threshold=300, workers=8))) == base
+    assert scan(SearchConfig(max_x=1200, threshold=300, workers=8)) == base
     assert started == [2]
 
     def no_pool(processes):
@@ -175,12 +171,12 @@ def test_processes_are_capped_at_the_cpu_count(monkeypatch):
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
         for window in ({"exact_residual": 8}, {"threshold": 300}):
             cfg = SearchConfig(max_x=1200, workers=8, **window)
-            assert rows(scan(cfg)) == rows(scan(replace(cfg, workers=1)))
+            assert scan(cfg) == scan(replace(cfg, workers=1))
 
 
 def test_more_workers_than_stripes():
     cfg = SearchConfig(max_x=4, min_x=2, threshold=20, workers=8)
-    assert rows(scan(cfg)) == naive_scan(2, 4, threshold=20)
+    assert scan(cfg) == naive_scan(2, 4, threshold=20)
 
 
 def test_fast_and_exact_paths_agree():
@@ -193,22 +189,37 @@ def test_fast_and_exact_paths_agree():
         assert scan(cfg) == scan(cfg, force_exact=True)
 
 
+def no_window_loop(x, cfg):
+    raise AssertionError(f"x={x} left the kernel")
+
+
 def test_large_threshold_stays_in_kernel(monkeypatch):
     # 2*x^4 > t^2 holds for every x here although t > 2^32, so no x may
     # fall back to the window loop
     cfg = SearchConfig(min_x=200_000, max_x=200_100, threshold=2**32 + 1)
     expected = scan(cfg, force_exact=True)
-
-    def no_window_loop(x, cfg):
-        raise AssertionError(f"x={x} left the kernel")
-
     monkeypatch.setattr(search, "_scan_x_exact", no_window_loop)
     assert expected and scan(cfg) == expected
 
 
+def test_tightest_kernel_pairs(monkeypatch):
+    # 2*x^4 = t^2 + 1 only at (x, t) = (1, 1) and (13, 239) (Ljunggren
+    # 1942): the kernel's regime holds with no room to spare, and the
+    # hit is z = isqrt(s + t) = t, the edge of the one-candidate rule
+    cases = [
+        (SearchConfig(min_x=13, max_x=40, threshold=239), SearchHit(13, 13, 239, 1)),
+        (SearchConfig(max_x=5, threshold=1), SearchHit(1, 1, 1, 1)),
+    ]
+    expected = [scan(cfg, force_exact=True) for cfg, _ in cases]
+    monkeypatch.setattr(search, "_scan_x_exact", no_window_loop)
+    for (cfg, hit), exact in zip(cases, expected):
+        hits = scan(cfg)
+        assert hit in hits and hits == exact
+
+
 def test_family_member_two_found():
     # s > 2^63 here: it wraps in int64, yet the kernel residual is exact
-    hits = rows(scan(SearchConfig(min_x=50806, max_x=52967, exact_residual=8)))
+    hits = scan(SearchConfig(min_x=50806, max_x=52967, exact_residual=8))
     assert hits == [(50806, 52967, 3812308653, 8)]
 
 
@@ -247,11 +258,16 @@ def boundary_pairs(draw):
 def test_kernel_row_is_exact_isqrt(pair):
     x, y = pair
     p4, f4 = _pow4(np.arange(x, y + 1, dtype=np.int64))
-    r, d = _isqrt(p4[0] + p4, f4[0] + f4)  # s wraps mod 2^64 without warning
-    for j, (r_j, d_j) in enumerate(zip(r.tolist(), d.tolist())):
-        s = x**4 + (x + j) ** 4
-        assert r_j == math.isqrt(s)
-        assert d_j == s - r_j * r_j
+    # the kernel subtracts lo from the y tables; |lo| <= t_max keeps x in
+    # the kernel's regime 2*x^4 > t^2
+    t_max = math.isqrt(2 * x**4 - 1)
+    for lo in (-t_max, 0, t_max):
+        # s - lo wraps mod 2^64 without warning
+        r, d = _isqrt(p4[0] + (p4 - lo), f4[0] + (f4 - lo))
+        for j, (r_j, d_j) in enumerate(zip(r.tolist(), d.tolist())):
+            s = x**4 + (x + j) ** 4 - lo
+            assert r_j == math.isqrt(s)
+            assert d_j == s - r_j * r_j
 
 
 @pytest.mark.parametrize("skew", [1 + 2**-41, 1 - 2**-41])
@@ -374,9 +390,9 @@ def test_sieve_takes_a_same_class_pair_once():
     assert _kernel_min_x(abs(residual)) <= x  # the pair is in the kernel's regime
     for window in ({"exact_residual": residual}, {"threshold": abs(residual)}):
         cfg = SearchConfig(min_x=x, max_x=y, **window)
-        hits = rows(scan(cfg))
+        hits = scan(cfg)
         assert hits.count((x, y, z, residual)) == 1
-        assert hits == rows(scan(cfg, force_exact=True))
+        assert hits == scan(cfg, force_exact=True)
 
 
 def test_threshold_zero_is_sieved_as_residual_zero():
@@ -391,11 +407,11 @@ def test_force_exact_runs_no_sieve(monkeypatch):
     monkeypatch.setattr(search, "_admissible", no_sieve)
     monkeypatch.setattr(search, "_scan_kernel", no_sieve)
     cfg = SearchConfig(max_x=40, exact_residual=8)
-    assert rows(scan(cfg, force_exact=True)) == naive_scan(1, 40, exact_residual=8)
+    assert scan(cfg, force_exact=True) == naive_scan(1, 40, exact_residual=8)
 
 
 def test_kernel_min_x():
-    for t in (0, 1, 7, 8, 50, 20000, 10**12, 2**50 + 3):
+    for t in (0, 1, 7, 8, 50, 239, 20000, 10**12, 2**50 + 3):
         x = _kernel_min_x(t)
         assert 2 * x**4 > t * t >= 2 * (x - 1) ** 4
 
