@@ -6,7 +6,7 @@ equal via exact coefficient identities, and rediscovered by exhaustive
 scanning.  Everything is exact; no tolerance appears anywhere.
 """
 
-from .exactmath import DiscriminantMismatchError, QuadElem, isqrt
+from .exactmath import DiscriminantMismatchError, QuadElem
 from .identities import (
     ExpansionTable,
     IdentityCheck,
@@ -51,7 +51,6 @@ __all__ = [
     "expand_rhs",
     "five_identities",
     "gen_recurrence",
-    "isqrt",
     "report_as_json",
     "residual",
     "scan",

@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="emit triplets of the residual-8 family")
+    gen = sub.add_parser("gen", help=f"emit triplets of the residual-{sequences.R} family")
     gen.add_argument("--count", type=_positive_int, required=True)
     gen.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
 
@@ -101,7 +101,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for t in sequences.gen_recurrence(args.count):
         problems = []
         r = sequences.residual(t.x, t.y, t.z)
-        if r != 0:
+        if r != sequences.R:
             problems.append(f"residual={r}")
         try:
             cx, cy = sequences.closed_form_xy(t.n, constants)
@@ -127,24 +127,33 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_closed_form(args: argparse.Namespace) -> int:
     k = sequences.canonical_constants()
     n = args.n
+    x, y = sequences.closed_form_xy(n, k)  # rejects n before any power is raised
+    z = sequences.closed_form_z(n, k)
     l1n, l2n = k.lambda1**n, k.lambda2**n
     m1n, m2n = k.mu1**n, k.mu2**n
     sign = 1 if n % 2 == 0 else -1
-    x, y = sequences.closed_form_xy(n, k)
-    z = sequences.closed_form_z(n, k)
-    print(f"n = {n}")
-    print(f"lambda1^n   = {l1n}")
-    print(f"a*lambda1^n = {k.a * l1n}")
-    print(f"b*lambda2^n = {k.b * l2n}")
-    print(f"x_n         = {x}")
-    print(f"c*lambda1^n = {k.c * l1n}")
-    print(f"d*lambda2^n = {k.d * l2n}")
-    print(f"y_n         = {y}")
-    print(f"mu1^n       = {m1n}")
-    print(f"e*mu1^n     = {k.e * m1n}")
-    print(f"f*mu2^n     = {k.f * m2n}")
-    print(f"(-1)^n * g  = {sign * k.g}")
-    print(f"z_n         = {z}")
+    # lift CPython's int -> str digit limit for these prints only: z_n
+    # passes its default of 4300 digits at n = 1278; 0 means no limit
+    previous = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if previous:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(f"n = {n}")
+        print(f"lambda1^n   = {l1n}")
+        print(f"a*lambda1^n = {k.a * l1n}")
+        print(f"b*lambda2^n = {k.b * l2n}")
+        print(f"x_n         = {x}")
+        print(f"c*lambda1^n = {k.c * l1n}")
+        print(f"d*lambda2^n = {k.d * l2n}")
+        print(f"y_n         = {y}")
+        print(f"mu1^n       = {m1n}")
+        print(f"e*mu1^n     = {k.e * m1n}")
+        print(f"f*mu2^n     = {k.f * m2n}")
+        print(f"(-1)^n * g  = {sign * k.g}")
+        print(f"z_n         = {z}")
+    finally:
+        if previous:
+            sys.set_int_max_str_digits(previous)
     return EXIT_OK
 
 

@@ -23,11 +23,7 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-__all__ = [
-    "QuadElem",
-    "DiscriminantMismatchError",
-    "isqrt",
-]
+__all__ = ["QuadElem", "DiscriminantMismatchError"]
 
 
 class DiscriminantMismatchError(ValueError):

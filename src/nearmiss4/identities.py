@@ -129,13 +129,13 @@ def _check(name: str, left: QuadElem, right: QuadElem) -> IdentityCheck:
 
 
 # The five named equalities, each the coefficient of one slot: z_n^2
-# (expand_rhs) on the left, x_n^4 + y_n^4 - 8 (expand_lhs) on the right.
+# (expand_rhs) on the left, x_n^4 + y_n^4 - R (expand_lhs) on the right.
 _FIVE = (
     (4, "e^2 = a^4 + c^4"),
     (-4, "f^2 = b^4 + d^4"),
     (2, "2*e*g = 4*a^3*b + 4*c^3*d"),
     (-2, "2*f*g = 4*a*b^3 + 4*c*d^3"),
-    (0, "2*e*f + g^2 = 6*a^2*b^2 + 6*c^2*d^2 - 8"),
+    (0, f"2*e*f + g^2 = 6*a^2*b^2 + 6*c^2*d^2 - {R}"),
 )
 
 

@@ -54,6 +54,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .sequences import residual
+
 __all__ = ["SearchConfig", "SearchHit", "scan", "verify_hit"]
 
 # Largest max_x the kernel serves.  The float64 tables hold x^4 and y^4
@@ -303,5 +305,5 @@ def scan(cfg: SearchConfig, force_exact: bool = False) -> list[SearchHit]:
 
 
 def verify_hit(hit: SearchHit) -> bool:
-    """Recompute the residual from scratch and compare."""
-    return hit.x**4 + hit.y**4 - hit.z * hit.z == hit.delta
+    """Whether hit.delta is sequences.residual(x, y, z), recomputed exactly."""
+    return residual(hit.x, hit.y, hit.z) == hit.delta

@@ -1,4 +1,8 @@
-"""The infinite family of triplets with x^4 + y^4 - R = z^2, R = 8.
+"""The infinite family of triplets with x^4 + y^4 - z^2 = R, R = 8.
+
+residual(x, y, z) = x^4 + y^4 - z^2 is the one residual of the package:
+a family member is a triplet with residual R, and a search hit is a
+triplet whose residual lies in the search window.
 
 The family is stated once: two seed triplets INITIAL_TRIPLETS, the
 multiplier A = 48 and the miss R.  Everything else is derived from them:
@@ -13,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import NamedTuple
 
-from .exactmath import QuadElem, isqrt
+from .exactmath import QuadElem
 
 __all__ = [
     "Triplet",
@@ -33,7 +38,10 @@ __all__ = [
 # Module-level on purpose: tests use this as an injection seam.
 INITIAL_TRIPLETS = ((22, 23, 717), (1058, 1103, 1653213))
 A = 48  # x_n = A*x_{n-1} + x_{n-2}; even, so lambda1 lies in Q(sqrt(A^2/4+1))
-R = 8  # the miss: x^4 + y^4 - R = z^2 on every member
+R = 8  # the miss: residual(x, y, z) = R on every member
+# Indices 0..MAX_INDEX-1 are served.  z_n has about 3.4*n digits, and
+# gen_recurrence keeps every row, so its memory grows as count^2.
+MAX_INDEX = 10**4
 
 
 class CancellationError(ArithmeticError):
@@ -109,8 +117,8 @@ def gen_recurrence(count: int) -> list[Triplet]:
     Iterative with O(1) carried state; entries near n = 200 run to
     thousands of digits.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_INDEX:
+        raise ValueError(f"count must be in 1..{MAX_INDEX}, got {count}")
     first, second = INITIAL_TRIPLETS
     out = [Triplet(0, *first)]
     if count == 1:
@@ -131,22 +139,23 @@ def gen_recurrence(count: int) -> list[Triplet]:
 
 
 def residual(x: int, y: int, z: int) -> int:
-    """x^4 + y^4 - R - z^2, exactly; zero on every member of the family."""
-    return x**4 + y**4 - R - z * z
+    """x^4 + y^4 - z^2, exactly; R on every member of the family."""
+    return x**4 + y**4 - z * z
 
 
 def _exact_int(value: QuadElem, what: str) -> int:
-    if value.q:
+    if not value.is_rational():
         raise CancellationError(f"{what}: sqrt-part did not cancel, got {value}")
-    if value.p.denominator != 1:
-        raise CancellationError(f"{what}: non-integer rational part {value.p}")
-    return int(value.p)
+    p = value.p
+    if p.denominator != 1:
+        raise CancellationError(f"{what}: non-integer rational part {p}")
+    return p.numerator
 
 
 def closed_form_xy(n: int, constants: ClosedFormConstants | None = None) -> tuple[int, int]:
     """(x_n, y_n) from the closed forms, with exact cancellation checks."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    if not 0 <= n < MAX_INDEX:
+        raise ValueError(f"index must be in 0..{MAX_INDEX - 1}, got {n}")
     k = constants if constants is not None else canonical_constants()
     l1n = k.lambda1**n
     l2n = k.lambda2**n
@@ -157,8 +166,8 @@ def closed_form_xy(n: int, constants: ClosedFormConstants | None = None) -> tupl
 
 def closed_form_z(n: int, constants: ClosedFormConstants | None = None) -> int:
     """z_n from its closed form; must come out a positive integer."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    if not 0 <= n < MAX_INDEX:
+        raise ValueError(f"index must be in 0..{MAX_INDEX - 1}, got {n}")
     k = constants if constants is not None else canonical_constants()
     sign = 1 if n % 2 == 0 else -1
     z = _exact_int(k.e * k.mu1**n + k.f * k.mu2**n + sign * k.g, f"z_{n}")

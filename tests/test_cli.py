@@ -4,12 +4,14 @@ import hashlib
 import json
 import os
 import pickle
+import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from nearmiss4 import cli, identities, search, sequences
+from nearmiss4 import cli, exactmath, identities, search, sequences
 
 FIXTURE = Path(__file__).parent / "data" / "search_oracle_max60_t50.tsv"
 BENCH_REFS = Path(__file__).parent.parent / "perfbench" / "refs.json"
@@ -164,6 +166,42 @@ def test_closed_form_exposes_cancellation(capsys):
     assert "z_n         = 717" in out
     assert "sqrt(577)" in out
     assert "(-1)^n * g  = 48/577" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--count", "10001"], ["verify", "--count", "10001"], ["closed-form", "--n", "10000"]],
+)
+def test_indices_past_max_index_are_usage_errors(capsys, monkeypatch, argv):
+    # refused before any member is generated or any power is raised
+    def no_power(*_):
+        raise AssertionError("raised a power past the bound")
+
+    monkeypatch.setattr(exactmath.QuadElem, "__pow__", no_power)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert sequences.MAX_INDEX == 10**4
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "must be in" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_closed_form_prints_past_the_digit_limit(capsys):
+    # z_1300 has about 4400 digits, past CPython's default limit of 4300,
+    # and x_1300 about 2200, past the limit of 1000 set here
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        code, out, _ = run(capsys, "closed-form", "--n", "1300")
+        assert sys.get_int_max_str_digits() == 1000  # restored
+        t = sequences.gen_recurrence(1301)[-1]
+        sys.set_int_max_str_digits(0)
+        expected = [f"x_n         = {t.x}", f"y_n         = {t.y}", f"z_n         = {t.z}"]
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert code == 0
+    assert [line for line in out.splitlines() if line[1:3] == "_n"] == expected
 
 
 @pytest.mark.parametrize(

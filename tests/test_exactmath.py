@@ -4,14 +4,14 @@ import copy
 import operator
 import pickle
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 import quadref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearmiss4.exactmath import DiscriminantMismatchError, QuadElem, isqrt
+from nearmiss4.exactmath import DiscriminantMismatchError, QuadElem
 
 LAM1 = QuadElem(24, 1)
 LAM2 = QuadElem(24, -1)

@@ -29,6 +29,7 @@ from nearmiss4.search import (
     scan,
     verify_hit,
 )
+from nearmiss4.sequences import residual
 
 FIXTURE = Path(__file__).parent / "data" / "search_oracle_max60_t50.tsv"
 
@@ -455,3 +456,12 @@ def test_verify_hit():
     assert verify_hit(SearchHit(22, 23, 717, 8))
     assert not verify_hit(SearchHit(22, 23, 717, 0))
     assert verify_hit(SearchHit(1, 2, 3, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**70), st.integers(0, 2**70), st.integers(1, 2**140))
+def test_verify_hit_reads_the_residual(x, dy, z):
+    # the search's delta and the family's residual are one quantity
+    y = x + dy
+    assert verify_hit(SearchHit(x, y, z, residual(x, y, z)))
+    assert not verify_hit(SearchHit(x, y, z, residual(x, y, z) + 1))

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from nearmiss4.exactmath import QuadElem
+from nearmiss4.search import SearchHit, verify_hit
 from nearmiss4.sequences import (
+    R,
     CancellationError,
     Triplet,
     canonical_constants,
@@ -50,14 +52,17 @@ def test_recurrence_rejects_zero_count():
 
 
 def test_residual_examples():
-    assert residual(22, 23, 717) == 0
-    assert residual(1058, 1103, 1653213) == 0
-    assert residual(1, 1, 1) == -7
+    assert residual(22, 23, 717) == R == 8
+    assert residual(1058, 1103, 1653213) == 8
+    assert residual(1, 1, 1) == 1
+    assert residual(1, 2, 3) == 8  # a search hit, not a family member
 
 
-def test_residual_zero_to_depth_60():
+def test_residual_is_R_to_depth_60():
     for t in gen_recurrence(60):
-        assert residual(t.x, t.y, t.z) == 0
+        assert residual(t.x, t.y, t.z) == R
+        if t.n < 50:
+            assert verify_hit(SearchHit(t.x, t.y, t.z, R))
 
 
 def test_closed_form_examples():
