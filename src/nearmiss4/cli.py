@@ -54,7 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="check residual and closed forms per index")
     verify.add_argument("--count", type=_positive_int, required=True)
 
-    closed = sub.add_parser("closed-form", help="show the exact Q(sqrt(577)) evaluation")
+    closed = sub.add_parser(
+        "closed-form", help=f"show the exact Q(sqrt({sequences.D})) evaluation"
+    )
     closed.add_argument("--n", type=_nonnegative_int, required=True)
 
     sub.add_parser("identities", help="verify the coefficient and root identities")
@@ -74,7 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
     residual.add_argument(
         "--exact-residual", type=int, default=None, metavar="R", help="window R..R"
     )
-    scan.add_argument("--workers", type=_positive_int, default=1)
+    scan.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="run at most WORKERS processes, at most one per CPU and one per x in the "
+        f"range; above {search.MAX_WORKERS} is a usage error",
+    )
     scan.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
 
     return parser

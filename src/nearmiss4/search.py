@@ -37,10 +37,11 @@ the window loop could emit more than MAX_WINDOW_ROWS rows beyond one
 per pair are refused before anything runs.
 
 The window-loop x values and the kernel's classes are split into
-interleaved stripes, run by at most one process per CPU, and the merged
-rows are sorted by (y, x, z), so output is independent of the worker
-count.  Workers return plain tuples, which pickle several times faster
-than SearchHits; each merged row becomes a SearchHit once.
+interleaved stripes, one process each, at most one per CPU and one per
+x, and the merged rows are sorted by (y, x, z), so output is
+independent of the worker count.  Workers return plain tuples, which
+pickle several times faster than SearchHits; each merged row becomes a
+SearchHit once.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ __all__ = ["SearchConfig", "SearchHit", "scan", "verify_hit"]
 # both tables, so x^4 is rounded once.
 KERNEL_MAX_X = 2**25
 
-# Upper bound on workers, the stripes a scan is split into.  A scan has
-# at most one stripe per x in the range and one process per CPU.
+# Upper bound on workers.  A scan runs min(workers, CPUs, x in the range)
+# stripes, one process each.
 MAX_WORKERS = 1024
 
 # Modulus of the congruence sieve, 2^4 * 3^3.  M = 2160 (adding the
@@ -269,8 +270,7 @@ def _scan_kernel(lo: int, hi: int, x0: int, max_x: int, index: int, stride: int)
     )
 
 
-def _scan_stripe(job: tuple[SearchConfig, int, int, bool]) -> list[_Row]:
-    cfg, index, stride, force_exact = job
+def _scan_stripe(cfg: SearchConfig, index: int, stride: int, force_exact: bool) -> list[_Row]:
     x0 = _kernel_start(cfg, force_exact)
     rows: list[_Row] = []
     for x in range(cfg.min_x + index, x0, stride):
@@ -280,25 +280,19 @@ def _scan_stripe(job: tuple[SearchConfig, int, int, bool]) -> list[_Row]:
     return rows
 
 
-def _pool_size(cfg: SearchConfig) -> int:
-    """Stripes a scan is split into: at most one per x in the range."""
-    return min(cfg.workers, cfg.max_x - cfg.min_x + 1)
-
-
 def scan(cfg: SearchConfig, force_exact: bool = False) -> list[SearchHit]:
     """All qualifying hits, each exactly once, sorted by (y, x, z).
 
     force_exact switches off the vectorized kernel; results are identical
     either way (asserted by the test suite on overlap ranges).
     """
-    stripes = _pool_size(cfg)
-    jobs = [(cfg, i, stripes, force_exact) for i in range(stripes)]
-    processes = min(stripes, os.cpu_count() or 1)
-    if processes == 1:
-        chunks = [_scan_stripe(job) for job in jobs]
+    stripes = min(cfg.workers, os.cpu_count() or 1, cfg.max_x - cfg.min_x + 1)
+    if stripes == 1:
+        chunks = [_scan_stripe(cfg, 0, 1, force_exact)]
     else:
-        with Pool(processes) as pool:
-            chunks = pool.map(_scan_stripe, jobs)
+        jobs = [(cfg, i, stripes, force_exact) for i in range(stripes)]
+        with Pool(stripes) as pool:
+            chunks = pool.starmap(_scan_stripe, jobs)
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=itemgetter(1, 0, 2))
     return list(map(SearchHit._make, rows))

@@ -38,6 +38,7 @@ __all__ = [
 # Module-level on purpose: tests use this as an injection seam.
 INITIAL_TRIPLETS = ((22, 23, 717), (1058, 1103, 1653213))
 A = 48  # x_n = A*x_{n-1} + x_{n-2}; even, so lambda1 lies in Q(sqrt(A^2/4+1))
+D = A * A // 4 + 1  # 577: the family's field is Q(sqrt(D))
 R = 8  # the miss: residual(x, y, z) = R on every member
 # Indices 0..MAX_INDEX-1 are served.  z_n has about 3.4*n digits, and
 # gen_recurrence keeps every row, so its memory grows as count^2.
@@ -101,7 +102,7 @@ def _fit(u0: Fraction | int, u1: Fraction | int, r: QuadElem) -> QuadElem:
 def canonical_constants() -> ClosedFormConstants:
     """The exact constants of the family, derived from INITIAL_TRIPLETS, A and R."""
     (x0, y0, z0), (x1, y1, z1) = INITIAL_TRIPLETS
-    lambda1 = QuadElem(Fraction(A, 2), 1, A * A // 4 + 1)
+    lambda1 = QuadElem(Fraction(A, 2), 1, D)
     mu1 = lambda1 * lambda1
     g = Fraction(_forcing(), A * A + 4)
     a, c, e = _fit(x0, x1, lambda1), _fit(y0, y1, lambda1), _fit(z0 - g, z1 + g, mu1)

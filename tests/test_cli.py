@@ -7,6 +7,7 @@ import pickle
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,16 @@ def test_gen_zero_count_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["search", "--max-x", "10", "--threshold", "-1"], ["closed-form", "--n", "-1"]]
+)
+def test_negative_values_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["gen", "--count", "2", "--frobnicate"])
@@ -92,6 +103,27 @@ def test_verify_corrupted_seed_names_index(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--count", "3")
     assert code == 1
     assert out.splitlines()[0].startswith("n=0 FAIL")
+
+
+@pytest.mark.parametrize(
+    "field, shift, problem",
+    [
+        # an integer shift of g moves z_n by +-1: a value mismatch
+        ("g", 1, "closed-form=(22,23,718) != recurrence=(22,23,717)"),
+        # half of a lambda1^n term is left over: no integer at all
+        ("a", Fraction(1, 2), "closed-form error: x_0: non-integer rational part 45/2"),
+    ],
+)
+def test_verify_reports_perturbed_constants(capsys, monkeypatch, field, shift, problem):
+    k = sequences.canonical_constants()
+    perturbed = replace(k, **{field: getattr(k, field) + shift})
+    monkeypatch.setattr(sequences, "canonical_constants", lambda: perturbed)
+    code, out, err = run(capsys, "verify", "--count", "5")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 5 and all(" FAIL " in line for line in lines)
+    assert lines[0] == f"n=0 FAIL {problem}"
+    assert "5 of 5 indices failed" in err
 
 
 def test_derivation_follows_the_seeds(capsys, monkeypatch):

@@ -260,9 +260,14 @@ def test_comparison_with_other_types_is_unequal():
     assert QuadElem(1, 0) != Fraction(1)
     assert QuadElem(1, 0, d=2) != QuadElem(1, 0, d=3)
     with pytest.raises(TypeError):
-        A + 1.5
-    with pytest.raises(TypeError):
         A**Fraction(1, 2)
+    # every binary operator refuses operands outside the field, both ways
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for other in (1.5, "x"):
+            with pytest.raises(TypeError):
+                op(A, other)
+            with pytest.raises(TypeError):
+                op(other, A)
 
 
 # --- differential against the Fraction-pair reference ----------------------

@@ -1,6 +1,7 @@
 """Scan tests: oracle equivalence, determinism, path agreement, FLT."""
 
 import math
+import multiprocessing
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +25,6 @@ from nearmiss4.search import (
     _isqrt,
     _kernel_min_x,
     _kernel_start,
-    _pool_size,
     _pow4,
     scan,
     verify_hit,
@@ -53,11 +53,47 @@ def test_config_validation():
     assert SearchConfig(max_x=10, threshold=5).window == (-5, 5)
 
 
-def test_pool_size_never_exceeds_x_range():
-    assert _pool_size(SearchConfig(max_x=4, min_x=2, workers=8)) == 3
-    assert _pool_size(SearchConfig(max_x=7, min_x=7, workers=MAX_WORKERS)) == 1
-    assert _pool_size(SearchConfig(max_x=100, workers=8)) == 8
-    assert _pool_size(SearchConfig(max_x=10**6, workers=MAX_WORKERS)) == MAX_WORKERS
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replaces multiprocessing.Pool by one that runs its jobs in this
+    process; returns the list of pools started, each holding its size
+    and the (index, stride) of its jobs."""
+    started = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            self.processes, self.jobs = processes, []
+            started.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, jobs):
+            self.jobs = [job[1:3] for job in jobs]
+            return [fn(*job) for job in jobs]
+
+    monkeypatch.setattr(search, "Pool", InProcessPool)
+    return started
+
+
+def test_pool_size_never_exceeds_x_range(monkeypatch, in_process_pool):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4096)
+    for cfg, size in (
+        (SearchConfig(max_x=4, min_x=2, workers=8), 3),
+        (SearchConfig(max_x=100, workers=8), 8),
+        (SearchConfig(max_x=10**4, min_x=10**4 - 99, workers=MAX_WORKERS), 100),
+    ):
+        in_process_pool.clear()
+        assert scan(cfg) == scan(replace(cfg, workers=1))
+        [pool] = in_process_pool
+        assert pool.processes == size
+        assert pool.jobs == [(i, size) for i in range(size)]
+    in_process_pool.clear()
+    scan(SearchConfig(max_x=7, min_x=7, workers=MAX_WORKERS))
+    assert in_process_pool == []  # one x runs in this process
 
 
 def test_exact_residual_eight_small_range():
@@ -125,7 +161,9 @@ def test_minimal_delta_always_emitted():
                 assert min(by_pair[(x, y)]) == best
 
 
-def test_worker_count_does_not_change_output():
+def test_worker_count_does_not_change_output(monkeypatch):
+    # enough CPUs that every worker count below is a stride of its own
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 64)
     base = scan(SearchConfig(max_x=120, threshold=10, workers=1))
     for workers in (2, 3, 5):
         cfg = SearchConfig(max_x=120, threshold=10, workers=workers)
@@ -139,40 +177,38 @@ def test_worker_count_does_not_change_output():
             assert scan(cfg) == base
 
 
-def test_processes_are_capped_at_the_cpu_count(monkeypatch):
-    # the stripes stay as many as the workers asked for; only the
-    # processes that run them are capped
+def test_processes_are_capped_at_the_cpu_count(monkeypatch, in_process_pool):
+    # 8 workers on 2 CPUs run 2 stripes of stride 2, one process each
     base = scan(SearchConfig(max_x=1200, threshold=300))
-    started = []
-
-    class InProcessPool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            assert [job[1:3] for job in jobs] == [(i, 8) for i in range(8)]
-            return list(map(fn, jobs))
-
-    monkeypatch.setattr(search, "Pool", InProcessPool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
     assert scan(SearchConfig(max_x=1200, threshold=300, workers=8)) == base
-    assert started == [2]
+    [pool] = in_process_pool
+    assert pool.processes == 2
+    assert pool.jobs == [(0, 2), (1, 2)]
 
-    def no_pool(processes):
-        raise AssertionError("one CPU started a pool")
-
-    monkeypatch.setattr(search, "Pool", no_pool)
+    in_process_pool.clear()
     for cpus in (1, None):
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
         for window in ({"exact_residual": 8}, {"threshold": 300}):
             cfg = SearchConfig(max_x=1200, workers=8, **window)
             assert scan(cfg) == scan(replace(cfg, workers=1))
+    assert in_process_pool == []  # one CPU starts no pool
+
+
+def test_scan_leaves_no_process_behind(monkeypatch):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    cfg = SearchConfig(max_x=1200, exact_residual=8, workers=2)
+    assert (1058, 1103, 1653213, 8) in scan(cfg)
+    assert multiprocessing.active_children() == []
+
+    def failing_kernel(*args):
+        raise RuntimeError("kernel failed")
+
+    # forked pool processes inherit the patched kernel
+    monkeypatch.setattr(search, "_scan_kernel", failing_kernel)
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        scan(cfg)
+    assert multiprocessing.active_children() == []
 
 
 def test_more_workers_than_stripes():

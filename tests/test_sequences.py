@@ -148,6 +148,8 @@ def test_perturbed_constants_break_cancellation():
         closed_form_xy(1, replace(k, a=k.a + 1))
     with pytest.raises(CancellationError):
         closed_form_z(1, replace(k, g=k.g + Fraction(1, 3)))
+    with pytest.raises(CancellationError, match="positive"):  # z_0 = 717 - 1000
+        closed_form_z(0, replace(k, g=k.g - 1000))
 
 
 def test_perturbed_g_by_integer_shifts_z():
