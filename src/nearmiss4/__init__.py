@@ -23,8 +23,11 @@ from .sequences import (
     INITIAL_TRIPLETS,
     CancellationError,
     ClosedFormConstants,
+    Powers,
     Triplet,
     canonical_constants,
+    carried_powers,
+    closed_form_powers,
     closed_form_xy,
     closed_form_z,
     gen_recurrence,
@@ -40,11 +43,14 @@ __all__ = [
     "ExpansionTable",
     "INITIAL_TRIPLETS",
     "IdentityCheck",
+    "Powers",
     "QuadElem",
     "SearchConfig",
     "SearchHit",
     "Triplet",
     "canonical_constants",
+    "carried_powers",
+    "closed_form_powers",
     "closed_form_xy",
     "closed_form_z",
     "expand_lhs",

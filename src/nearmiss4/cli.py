@@ -105,15 +105,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     constants = sequences.canonical_constants()
+    members = sequences.gen_recurrence(args.count)
     failures = 0
-    for t in sequences.gen_recurrence(args.count):
+    for t, powers in zip(members, sequences.carried_powers(args.count, constants)):
         problems = []
         r = sequences.residual(t.x, t.y, t.z)
         if r != sequences.R:
             problems.append(f"residual={r}")
         try:
-            cx, cy = sequences.closed_form_xy(t.n, constants)
-            cz = sequences.closed_form_z(t.n, constants)
+            cx, cy = sequences.closed_form_xy(t.n, constants, powers)
+            cz = sequences.closed_form_z(t.n, constants, powers)
             if (cx, cy, cz) != (t.x, t.y, t.z):
                 problems.append(
                     f"closed-form=({cx},{cy},{cz}) != recurrence=({t.x},{t.y},{t.z})"
@@ -135,10 +136,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_closed_form(args: argparse.Namespace) -> int:
     k = sequences.canonical_constants()
     n = args.n
-    x, y = sequences.closed_form_xy(n, k)  # rejects n before any power is raised
-    z = sequences.closed_form_z(n, k)
-    l1n, l2n = k.lambda1**n, k.lambda2**n
-    m1n, m2n = k.mu1**n, k.mu2**n
+    p = sequences.closed_form_powers(n, k)  # rejects n before any power is raised
+    x, y = sequences.closed_form_xy(n, k, p)
+    z = sequences.closed_form_z(n, k, p)
     sign = 1 if n % 2 == 0 else -1
     # lift CPython's int -> str digit limit for these prints only: z_n
     # passes its default of 4300 digits at n = 1278; 0 means no limit
@@ -147,16 +147,16 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
         sys.set_int_max_str_digits(0)
     try:
         print(f"n = {n}")
-        print(f"lambda1^n   = {l1n}")
-        print(f"a*lambda1^n = {k.a * l1n}")
-        print(f"b*lambda2^n = {k.b * l2n}")
+        print(f"lambda1^n   = {p.lambda1}")
+        print(f"a*lambda1^n = {k.a * p.lambda1}")
+        print(f"b*lambda2^n = {k.b * p.lambda2}")
         print(f"x_n         = {x}")
-        print(f"c*lambda1^n = {k.c * l1n}")
-        print(f"d*lambda2^n = {k.d * l2n}")
+        print(f"c*lambda1^n = {k.c * p.lambda1}")
+        print(f"d*lambda2^n = {k.d * p.lambda2}")
         print(f"y_n         = {y}")
-        print(f"mu1^n       = {m1n}")
-        print(f"e*mu1^n     = {k.e * m1n}")
-        print(f"f*mu2^n     = {k.f * m2n}")
+        print(f"mu1^n       = {p.mu1}")
+        print(f"e*mu1^n     = {k.e * p.mu1}")
+        print(f"f*mu2^n     = {k.f * p.mu2}")
         print(f"(-1)^n * g  = {sign * k.g}")
         print(f"z_n         = {z}")
     finally:
@@ -195,7 +195,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
     _emit_rows(args.format, search.SearchHit._fields, hits)
     print(
-        f"scanned x in {cfg.min_x}..{cfg.max_x} with {cfg.workers} worker(s): "
+        f"scanned x in {cfg.min_x}..{cfg.max_x} with {search.processes(cfg)} worker(s): "
         f"{len(hits)} hit(s) in {elapsed:.2f}s",
         file=sys.stderr,
     )

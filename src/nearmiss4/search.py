@@ -57,7 +57,7 @@ import numpy as np
 
 from .sequences import residual
 
-__all__ = ["SearchConfig", "SearchHit", "scan", "verify_hit"]
+__all__ = ["SearchConfig", "SearchHit", "processes", "scan", "verify_hit"]
 
 # Largest max_x the kernel serves.  The float64 tables hold x^4 and y^4
 # to a relative error of 2^-53 each; subtracting lo, the sum and the
@@ -69,8 +69,8 @@ __all__ = ["SearchConfig", "SearchHit", "scan", "verify_hit"]
 # both tables, so x^4 is rounded once.
 KERNEL_MAX_X = 2**25
 
-# Upper bound on workers.  A scan runs min(workers, CPUs, x in the range)
-# stripes, one process each.
+# Upper bound on workers.  A scan runs processes(cfg) stripes, one
+# process each.
 MAX_WORKERS = 1024
 
 # Modulus of the congruence sieve, 2^4 * 3^3.  M = 2160 (adding the
@@ -280,13 +280,19 @@ def _scan_stripe(cfg: SearchConfig, index: int, stride: int, force_exact: bool) 
     return rows
 
 
+def processes(cfg: SearchConfig) -> int:
+    """Processes a scan of cfg runs, one stripe each: at most cfg.workers,
+    one per CPU and one per x in the range; 1 runs in the calling process."""
+    return min(cfg.workers, os.cpu_count() or 1, cfg.max_x - cfg.min_x + 1)
+
+
 def scan(cfg: SearchConfig, force_exact: bool = False) -> list[SearchHit]:
     """All qualifying hits, each exactly once, sorted by (y, x, z).
 
     force_exact switches off the vectorized kernel; results are identical
     either way (asserted by the test suite on overlap ranges).
     """
-    stripes = min(cfg.workers, os.cpu_count() or 1, cfg.max_x - cfg.min_x + 1)
+    stripes = processes(cfg)
     if stripes == 1:
         chunks = [_scan_stripe(cfg, 0, 1, force_exact)]
     else:

@@ -11,25 +11,36 @@ z_n = (A^2+2)*z_{n-1} - z_{n-2} + (-1)^n * F with F = 192, and the
 equivalent closed forms over Q(sqrt(A^2/4+1)) = Q(sqrt(577)).  Evaluating
 a closed form must cancel every sqrt(577) term identically; anything
 else is a bug, never a rounding concern.
+
+A closed form at index n is evaluated from the powers lambda1^n,
+lambda2^n, mu1^n and mu2^n of its roots.  closed_form_powers(n) raises
+them by repeated squaring, for random access; carried_powers(count)
+walks indices 0..count-1 in order, one product per root per index, for
+callers that visit every index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import isqrt
-from typing import NamedTuple
+from operator import mul
+from typing import Iterator, NamedTuple
 
 from .exactmath import QuadElem
 
 __all__ = [
     "Triplet",
     "ClosedFormConstants",
+    "Powers",
     "CancellationError",
     "INITIAL_TRIPLETS",
     "canonical_constants",
     "gen_recurrence",
     "residual",
+    "closed_form_powers",
+    "carried_powers",
     "closed_form_xy",
     "closed_form_z",
 ]
@@ -153,25 +164,89 @@ def _exact_int(value: QuadElem, what: str) -> int:
     return p.numerator
 
 
-def closed_form_xy(n: int, constants: ClosedFormConstants | None = None) -> tuple[int, int]:
-    """(x_n, y_n) from the closed forms, with exact cancellation checks."""
+class Powers(NamedTuple):
+    """lambda1^n, lambda2^n, mu1^n and mu2^n of one ClosedFormConstants
+    at one index n, each raised from its own root."""
+
+    lambda1: QuadElem
+    lambda2: QuadElem
+    mu1: QuadElem
+    mu2: QuadElem
+
+
+def _check_index(n: int) -> None:
     if not 0 <= n < MAX_INDEX:
         raise ValueError(f"index must be in 0..{MAX_INDEX - 1}, got {n}")
+
+
+def _roots(constants: ClosedFormConstants | None) -> Powers:
+    """The roots themselves: the Powers at index 1."""
     k = constants if constants is not None else canonical_constants()
-    l1n = k.lambda1**n
-    l2n = k.lambda2**n
+    return Powers(k.lambda1, k.lambda2, k.mu1, k.mu2)
+
+
+def closed_form_powers(n: int, constants: ClosedFormConstants | None = None) -> Powers:
+    """The four powers at index n, each root raised by repeated squaring."""
+    _check_index(n)
+    return Powers(*(root**n for root in _roots(constants)))
+
+
+def _times(powers: Powers, roots: Powers) -> Powers:
+    return Powers(*map(mul, powers, roots))
+
+
+def carried_powers(
+    count: int, constants: ClosedFormConstants | None = None
+) -> Iterator[Powers]:
+    """The four powers at indices 0..count-1, in order, lazily.
+
+    Each starts from the exact one and is multiplied by its own root once
+    per index.  No power is derived from another (lambda2^n is not taken
+    as the conjugate of lambda1^n, nor mu1^n as lambda1^(2n)), so
+    perturbed constants are evaluated exactly as given.
+    """
+    if not 1 <= count <= MAX_INDEX:
+        raise ValueError(f"count must be in 1..{MAX_INDEX}, got {count}")
+    roots = _roots(constants)
+    one = Powers(*(QuadElem(1, 0, root.d) for root in roots))
+    return accumulate(repeat(roots, count - 1), _times, initial=one)
+
+
+def closed_form_xy(
+    n: int, constants: ClosedFormConstants | None = None, powers: Powers | None = None
+) -> tuple[int, int]:
+    """(x_n, y_n) from the closed forms, with exact cancellation checks.
+
+    powers, the Powers at index n of the same constants, saves raising
+    lambda1 and lambda2 to the n-th power here.
+    """
+    _check_index(n)
+    k = constants if constants is not None else canonical_constants()
+    if powers is None:
+        l1n, l2n = k.lambda1**n, k.lambda2**n
+    else:
+        l1n, l2n = powers.lambda1, powers.lambda2
     x = _exact_int(k.a * l1n + k.b * l2n, f"x_{n}")
     y = _exact_int(k.c * l1n + k.d * l2n, f"y_{n}")
     return x, y
 
 
-def closed_form_z(n: int, constants: ClosedFormConstants | None = None) -> int:
-    """z_n from its closed form; must come out a positive integer."""
-    if not 0 <= n < MAX_INDEX:
-        raise ValueError(f"index must be in 0..{MAX_INDEX - 1}, got {n}")
+def closed_form_z(
+    n: int, constants: ClosedFormConstants | None = None, powers: Powers | None = None
+) -> int:
+    """z_n from its closed form; must come out a positive integer.
+
+    powers, the Powers at index n of the same constants, saves raising
+    mu1 and mu2 to the n-th power here.
+    """
+    _check_index(n)
     k = constants if constants is not None else canonical_constants()
+    if powers is None:
+        m1n, m2n = k.mu1**n, k.mu2**n
+    else:
+        m1n, m2n = powers.mu1, powers.mu2
     sign = 1 if n % 2 == 0 else -1
-    z = _exact_int(k.e * k.mu1**n + k.f * k.mu2**n + sign * k.g, f"z_{n}")
+    z = _exact_int(k.e * m1n + k.f * m2n + sign * k.g, f"z_{n}")
     if z <= 0:
         raise CancellationError(f"z_{n}: expected a positive integer, got {z}")
     return z

@@ -126,6 +126,63 @@ def test_verify_reports_perturbed_constants(capsys, monkeypatch, field, shift, p
     assert "5 of 5 indices failed" in err
 
 
+def verify_reference(count):
+    """verify's stdout built index by index from the random-access closed
+    forms, each raising its roots to the index's power."""
+    k = sequences.canonical_constants()
+    lines = []
+    for t in sequences.gen_recurrence(count):
+        problems = []
+        r = sequences.residual(t.x, t.y, t.z)
+        if r != sequences.R:
+            problems.append(f"residual={r}")
+        try:
+            cx, cy = sequences.closed_form_xy(t.n, k)
+            cz = sequences.closed_form_z(t.n, k)
+            if (cx, cy, cz) != (t.x, t.y, t.z):
+                problems.append(
+                    f"closed-form=({cx},{cy},{cz}) != recurrence=({t.x},{t.y},{t.z})"
+                )
+        except sequences.CancellationError as exc:
+            problems.append(f"closed-form error: {exc}")
+        lines.append(f"n={t.n} FAIL " + "; ".join(problems) if problems else f"n={t.n} ok")
+    return "".join(line + "\n" for line in lines)
+
+
+# the perturbations of test_verify_reports_perturbed_constants
+@pytest.mark.parametrize("perturbation", [None, ("g", 1), ("a", Fraction(1, 2))])
+@pytest.mark.parametrize("count", [1, 2, 50])
+def test_verify_matches_the_random_access_reference(capsys, monkeypatch, perturbation, count):
+    if perturbation is not None:
+        field, shift = perturbation
+        k = sequences.canonical_constants()
+        perturbed = replace(k, **{field: getattr(k, field) + shift})
+        monkeypatch.setattr(sequences, "canonical_constants", lambda: perturbed)
+    code, out, _ = run(capsys, "verify", "--count", str(count))
+    assert code == (0 if perturbation is None else 1)
+    assert out == verify_reference(count)
+
+
+def test_verify_raises_no_power_per_index(capsys, monkeypatch):
+    # the powers are carried from index to index, so the count of
+    # QuadElem.__pow__ calls does not grow with --count
+    calls = []
+    original = exactmath.QuadElem.__pow__
+
+    def counted(self, exponent):
+        calls.append(exponent)
+        return original(self, exponent)
+
+    monkeypatch.setattr(exactmath.QuadElem, "__pow__", counted)
+    per_count = []
+    for count in ("20", "200"):
+        calls.clear()
+        code, _, _ = run(capsys, "verify", "--count", count)
+        assert code == 0
+        per_count.append(len(calls))
+    assert per_count[0] == per_count[1] <= 4
+
+
 def test_derivation_follows_the_seeds(capsys, monkeypatch):
     # a second A = 48, R = 8 family: verify passes only if the z recurrence
     # and the closed-form constants are derived from the seeds
@@ -355,6 +412,30 @@ def test_console_script_end_to_end():
         cmd + ["gen", "--count", "0"], capture_output=True, text=True, timeout=30, env=env
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv, ran",
+    [
+        (["--max-x", "3000", "--exact-residual", "8", "--workers", "1024"], 2),
+        (["--min-x", "5", "--max-x", "5", "--workers", "64"], 1),
+    ],
+)
+def test_search_reports_the_processes_it_ran(capsys, monkeypatch, argv, ran):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    started = []
+    real_pool = search.Pool
+
+    def counted_pool(processes):
+        started.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(search, "Pool", counted_pool)
+    code, out, err = run(capsys, "search", *argv)
+    assert code == 0
+    assert f" with {ran} worker(s): " in err
+    assert started == ([ran] if ran > 1 else [])  # one process runs in-process
+    assert out == run(capsys, "search", *argv[:-2])[1]  # as with --workers 1
 
 
 def test_search_workers_flag(capsys):

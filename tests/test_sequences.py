@@ -10,8 +10,11 @@ from nearmiss4.search import SearchHit, verify_hit
 from nearmiss4.sequences import (
     R,
     CancellationError,
+    Powers,
     Triplet,
     canonical_constants,
+    carried_powers,
+    closed_form_powers,
     closed_form_xy,
     closed_form_z,
     gen_recurrence,
@@ -79,6 +82,26 @@ def test_closed_form_matches_recurrence_to_25():
     for t in triplets:
         assert closed_form_xy(t.n) == (t.x, t.y)
         assert closed_form_z(t.n) == t.z
+
+
+@pytest.mark.parametrize("root", [None, "lambda1", "lambda2", "mu1", "mu2"])
+def test_carried_powers_equal_direct_powers(root):
+    # a root shifted off its canonical value exposes a power derived from
+    # another root (lambda2^n as the conjugate of lambda1^n, say)
+    k = canonical_constants()
+    if root is not None:
+        k = replace(k, **{root: getattr(k, root) + Fraction(1, 3)})
+    carried = list(carried_powers(61, k))
+    assert len(carried) == 61
+    for n, powers in enumerate(carried):
+        assert powers == Powers(k.lambda1**n, k.lambda2**n, k.mu1**n, k.mu2**n)
+        assert powers == closed_form_powers(n, k)
+
+
+def test_carried_powers_rejects_counts_outside_the_index_range():
+    for count in (0, 10**4 + 1):
+        with pytest.raises(ValueError):
+            carried_powers(count)
 
 
 def test_closed_form_rejects_negative_index():
