@@ -2,17 +2,19 @@
 
 Data rows go to stdout, diagnostics to stderr.  All numbers print as
 full decimal strings.  Exit codes: 0 success, 1 verification failure,
-2 usage error (argparse's convention).
+2 usage error (argparse's convention), 141 (128 + SIGPIPE) when the
+reader closes stdout early, as `| head` does.
 
 TSV columns: gen -> n, x, y, z; search -> x, y, z, delta.  JSONL mirrors
-the TSV with the same field names; x, y, z, delta are JSON strings so no
-consumer is tempted to round them.
+the TSV with the same field names; every field, n included, is a JSON
+string so no consumer is tempted to round them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Iterable, Sequence
@@ -24,6 +26,7 @@ __all__ = ["main", "app", "build_parser"]
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process it killed
 
 
 def _positive_int(text: str) -> int:
@@ -222,7 +225,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def app() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (e.g. `| head`): point stdout at
+        # devnull so the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,17 @@
 """Symbolic verification that the closed forms satisfy x^4 + y^4 - 8 = z^2.
 
-Both sides expand into five Laurent-style terms coeff * (-1)^(a*n) *
-lambda1^(k*n) with k in {-4, -2, 0, 2, 4}; the sides agree exactly iff
-the five coefficient pairs agree, which is what the five named
-equalities state.  Expansion here is a generic term convolution (it
-never copies the stated coefficients), so comparing against the
-hand-stated forms in the test suite is a genuine cross-check.
+Both sides expand into the five degree-4 monomials
+lambda1^(i*n) * lambda2^(j*n) with i + j = 4, each keyed by its slot
+k = i - j in {-4, -2, 0, 2, 4}; the sides agree exactly iff the five
+coefficients agree, which is what the five named equalities state.
+Expansion here is a generic term convolution (it never copies the stated
+coefficients), so comparing against the hand-stated forms in the test
+suite is a genuine cross-check.
 
-Key rewriting facts: lambda2^n = (-1)^n * lambda1^(-n) because
-lambda1*lambda2 = -1, and mu1^n = lambda1^(2n), mu2^n = lambda1^(-2n)
-because mu1 = lambda1^2 and mu1*mu2 = 1.
+Key rewriting facts: lambda1*lambda2 = -1, mu1 = lambda1^2 and
+mu1*mu2 = 1 give mu2 = lambda2^2, so mu1^n and mu2^n sit at slots 2 and
+-2, (-1)^n = (lambda1*lambda2)^n at slot 0, and the constant R equals
+R * (lambda1*lambda2)^(2n), also slot 0.
 """
 
 from __future__ import annotations
@@ -35,38 +37,35 @@ __all__ = [
 
 SLOTS = (-4, -2, 0, 2, 4)
 
-# A formal sum is a map (slot, alternating) -> coefficient, standing for
-# sum of coeff * (-1)^(alt*n) * lambda1^(slot*n).
-_Terms = dict[tuple[int, bool], QuadElem]
+# A formal sum is a map slot -> coefficient, standing for the sum of
+# coeff * lambda1^(i*n) * lambda2^(j*n) with slot = i - j.
+_Terms = dict[int, QuadElem]
 
 
 @dataclass(frozen=True)
 class ExpansionTable:
-    """One side of the comparison: slot -> (coefficient, alternating).
+    """One side of the comparison, of degree 4: slot -> coefficient.
 
-    Slot k holds the coefficient of lambda1^(k*n); alternating marks an
-    extra (-1)^n factor.  Exactly the five canonical slots must be
+    Slot k holds the coefficient of lambda1^(i*n) * lambda2^(j*n) with
+    i + j = 4 and i - j = k.  Exactly the five canonical slots must be
     present.
     """
 
-    entries: Mapping[int, tuple[QuadElem, bool]]
+    entries: Mapping[int, QuadElem]
 
     def __post_init__(self) -> None:
-        _require_canonical_slots(self.entries)
-
-
-def _require_canonical_slots(entries: Mapping[int, tuple[QuadElem, bool]]) -> None:
-    if set(entries) != set(SLOTS):
-        raise ValueError(f"expansion table must have slots {SLOTS}, got {sorted(entries)}")
+        if set(self.entries) != set(SLOTS):
+            raise ValueError(
+                f"expansion table must have slots {SLOTS}, got {sorted(self.entries)}"
+            )
 
 
 def _convolve(u: _Terms, v: _Terms) -> _Terms:
     out: _Terms = {}
-    for (s1, a1), c1 in u.items():
-        for (s2, a2), c2 in v.items():
-            key = (s1 + s2, a1 != a2)
-            acc = out.get(key)
-            out[key] = c1 * c2 if acc is None else acc + c1 * c2
+    for s1, c1 in u.items():
+        for s2, c2 in v.items():
+            acc = out.get(s1 + s2)
+            out[s1 + s2] = c1 * c2 if acc is None else acc + c1 * c2
     return out
 
 
@@ -77,42 +76,24 @@ def _power(terms: _Terms, exponent: int) -> _Terms:
     return out
 
 
-def _to_table(terms: _Terms) -> ExpansionTable:
-    entries: dict[int, tuple[QuadElem, bool]] = {}
-    for (slot, alt), coeff in terms.items():
-        if slot in entries:
-            raise ValueError(f"slot {slot} carries two parities; not representable")
-        entries[slot] = (coeff, alt)
-    return ExpansionTable(entries)
-
-
 def expand_lhs(constants: ClosedFormConstants) -> ExpansionTable:
-    """Expansion of x_n^4 + y_n^4 - R in powers lambda1^(k*n)."""
+    """Expansion of x_n^4 + y_n^4 - R, x_n = a*lambda1^n + b*lambda2^n (y: c, d)."""
     k = constants
-    x_terms: _Terms = {(1, False): k.a, (-1, True): k.b}
-    y_terms: _Terms = {(1, False): k.c, (-1, True): k.d}
-    total = _power(x_terms, 4)
-    for key, coeff in _power(y_terms, 4).items():
-        total[key] = total[key] + coeff
-    total[(0, False)] = total[(0, False)] - R
-    return _to_table(total)
+    total = _power({1: k.a, -1: k.b}, 4)
+    for slot, coeff in _power({1: k.c, -1: k.d}, 4).items():
+        total[slot] = total[slot] + coeff
+    total[0] = total[0] - R
+    return ExpansionTable(total)
 
 
 def expand_rhs(constants: ClosedFormConstants) -> ExpansionTable:
-    """Expansion of z_n^2 in powers lambda1^(k*n)."""
+    """Expansion of z_n^2, z_n = e*mu1^n + f*mu2^n + (-1)^n * g."""
     k = constants
-    z_terms: _Terms = {
-        (2, False): k.e,
-        (-2, False): k.f,
-        (0, True): QuadElem(k.g, 0, k.e.d),
-    }
-    return _to_table(_power(z_terms, 2))
+    return ExpansionTable(_power({2: k.e, -2: k.f, 0: QuadElem(k.g, 0, k.e.d)}, 2))
 
 
 def tables_equal(lhs: ExpansionTable, rhs: ExpansionTable) -> bool:
-    """Slot-by-slot coefficient and parity equality."""
-    _require_canonical_slots(lhs.entries)
-    _require_canonical_slots(rhs.entries)
+    """Whether the five coefficients agree slot by slot: the five identities."""
     return all(lhs.entries[slot] == rhs.entries[slot] for slot in SLOTS)
 
 
@@ -145,7 +126,7 @@ def five_identities(lhs: ExpansionTable, rhs: ExpansionTable) -> list[IdentityCh
     A false identity is a result, not an error; both sides are kept
     exactly so a discrepancy stays diagnosable.
     """
-    return [_check(name, rhs.entries[slot][0], lhs.entries[slot][0]) for slot, name in _FIVE]
+    return [_check(name, rhs.entries[slot], lhs.entries[slot]) for slot, name in _FIVE]
 
 
 def verify_five_identities(constants: ClosedFormConstants) -> list[IdentityCheck]:

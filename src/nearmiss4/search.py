@@ -37,11 +37,11 @@ the window loop could emit more than MAX_WINDOW_ROWS rows beyond one
 per pair are refused before anything runs.
 
 The window-loop x values and the kernel's classes are split into
-interleaved stripes, one process each, at most one per CPU and one per
-x, and the merged rows are sorted by (y, x, z), so output is
-independent of the worker count.  Workers return plain tuples, which
-pickle several times faster than SearchHits; each merged row becomes a
-SearchHit once.
+interleaved stripes, one process each, at most one per CPU this process
+may run on and one per x, and the merged rows are sorted by (y, x, z),
+so output is independent of the worker count.  Workers return plain
+tuples, which pickle several times faster than SearchHits; each merged
+row becomes a SearchHit once.
 """
 
 from __future__ import annotations
@@ -280,10 +280,19 @@ def _scan_stripe(cfg: SearchConfig, index: int, stride: int, force_exact: bool) 
     return rows
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (so `taskset -c 0` counts 1), else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def processes(cfg: SearchConfig) -> int:
     """Processes a scan of cfg runs, one stripe each: at most cfg.workers,
-    one per CPU and one per x in the range; 1 runs in the calling process."""
-    return min(cfg.workers, os.cpu_count() or 1, cfg.max_x - cfg.min_x + 1)
+    one per CPU this process may run on and one per x in the range; 1 runs
+    in the calling process."""
+    return min(cfg.workers, _cpus(), cfg.max_x - cfg.min_x + 1)
 
 
 def scan(cfg: SearchConfig, force_exact: bool = False) -> list[SearchHit]:

@@ -415,6 +415,32 @@ def test_console_script_end_to_end():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--count", "1000"],
+        ["search", "--max-x", "400", "--threshold", "20000", "--workers", "2"],
+    ],
+)
+def test_closed_pipe_exits_141_without_traceback(argv):
+    # both commands print far more than a pipe buffer after the first line
+    import subprocess
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nearmiss4.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv, ran",
     [
         (["--max-x", "3000", "--exact-residual", "8", "--workers", "1024"], 2),
@@ -422,7 +448,7 @@ def test_console_script_end_to_end():
     ],
 )
 def test_search_reports_the_processes_it_ran(capsys, monkeypatch, argv, ran):
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "_cpus", lambda: 2)
     started = []
     real_pool = search.Pool
 

@@ -47,25 +47,22 @@ def test_tables_equal_for_canonical_constants():
     assert tables_equal(expand_lhs(K), expand_rhs(K))
 
 
-def test_expansion_slots_and_parity_pattern():
+def test_expansion_slots():
     for table in (expand_lhs(K), expand_rhs(K)):
         assert set(table.entries) == set(SLOTS)
-        for slot in SLOTS:
-            _, alternating = table.entries[slot]
-            assert alternating == (slot in (-2, 2))
 
 
 def test_lhs_expansion_frozen_values():
     # computed term-by-term from the constants with an independent
     # formal-expansion script before this module was written
     lhs = expand_lhs(K)
-    assert lhs.entries[4][0] == QuadElem(
+    assert lhs.entries[4] == QuadElem(
         Fraction(171116091089, 665858), Fraction(7123656081, 665858)
     )
-    assert lhs.entries[2][0] == QuadElem(
+    assert lhs.entries[2] == QuadElem(
         Fraction(19855728, 332929), Fraction(826608, 332929)
     )
-    assert lhs.entries[0][0] == QuadElem(Fraction(-665864, 332929), 0)
+    assert lhs.entries[0] == QuadElem(Fraction(-665864, 332929), 0)
 
 
 def test_lhs_matches_stated_coefficients():
@@ -74,11 +71,11 @@ def test_lhs_matches_stated_coefficients():
     a, b, c, d = K.a, K.b, K.c, K.d
     stated = ExpansionTable(
         {
-            4: (a**4 + c**4, False),
-            2: (4 * a**3 * b + 4 * c**3 * d, True),
-            0: (6 * a**2 * b**2 + 6 * c**2 * d**2 - 8, False),
-            -2: (4 * a * b**3 + 4 * c * d**3, True),
-            -4: (b**4 + d**4, False),
+            4: a**4 + c**4,
+            2: 4 * a**3 * b + 4 * c**3 * d,
+            0: 6 * a**2 * b**2 + 6 * c**2 * d**2 - 8,
+            -2: 4 * a * b**3 + 4 * c * d**3,
+            -4: b**4 + d**4,
         }
     )
     assert tables_equal(expand_lhs(K), stated)
@@ -89,11 +86,11 @@ def test_rhs_matches_stated_coefficients():
     g = QuadElem(K.g, 0)
     stated = ExpansionTable(
         {
-            4: (e**2, False),
-            2: (2 * e * g, True),
-            0: (2 * e * f + g**2, False),
-            -2: (2 * f * g, True),
-            -4: (f**2, False),
+            4: e**2,
+            2: 2 * e * g,
+            0: 2 * e * f + g**2,
+            -2: 2 * f * g,
+            -4: f**2,
         }
     )
     assert tables_equal(expand_rhs(K), stated)
@@ -114,15 +111,12 @@ def test_five_identities_agree_with_table_comparison():
 def test_conjugating_coefficients_mirrors_slots():
     for table in (expand_lhs(K), expand_rhs(K)):
         for slot in SLOTS:
-            coeff, alternating = table.entries[slot]
-            mirrored, alt_mirrored = table.entries[-slot]
-            assert coeff.conj() == mirrored
-            assert alternating == alt_mirrored
+            assert table.entries[slot].conj() == table.entries[-slot]
 
 
 def test_slot_zero_is_pure_rational():
-    assert expand_lhs(K).entries[0][0].is_rational()
-    assert expand_rhs(K).entries[0][0].is_rational()
+    assert expand_lhs(K).entries[0].is_rational()
+    assert expand_rhs(K).entries[0].is_rational()
 
 
 def test_characteristic_quadratics():
@@ -138,6 +132,18 @@ def test_perturbed_g_flips_exactly_the_g_bullets():
     assert not checks[3].equal
     assert not checks[4].equal
     assert not tables_equal(expand_lhs(replace(K, g=K.g + 1)), expand_rhs(replace(K, g=K.g + 1)))
+
+
+def test_each_identity_reads_the_constants_its_name_mentions():
+    # shifting one constant breaks exactly the identities whose name
+    # mentions it, so every name is tied to the slot it is read from
+    for field in "abcdefg":
+        for shift in (1, Fraction(1, 577)):
+            checks = verify_five_identities(replace(K, **{field: getattr(K, field) + shift}))
+            assert [c.equal for c in checks] == [field not in c.name for c in checks], (
+                field,
+                shift,
+            )
 
 
 def test_any_single_coefficient_perturbation_breaks_the_tables():
@@ -161,13 +167,8 @@ def test_tables_equal_reflexive_and_sensitive():
     lhs = expand_lhs(K)
     assert tables_equal(lhs, lhs)
     bumped = dict(lhs.entries)
-    coeff, alt = bumped[4]
-    bumped[4] = (coeff + 1, alt)
+    bumped[4] = bumped[4] + 1
     assert not tables_equal(lhs, ExpansionTable(bumped))
-    flipped = dict(lhs.entries)
-    coeff, alt = flipped[4]
-    flipped[4] = (coeff, not alt)
-    assert not tables_equal(lhs, ExpansionTable(flipped))
 
 
 def test_malformed_table_rejected():

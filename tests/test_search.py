@@ -80,7 +80,7 @@ def in_process_pool(monkeypatch):
 
 
 def test_pool_size_never_exceeds_x_range(monkeypatch, in_process_pool):
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 4096)
+    monkeypatch.setattr(search, "_cpus", lambda: 4096)
     for cfg, size in (
         (SearchConfig(max_x=4, min_x=2, workers=8), 3),
         (SearchConfig(max_x=100, workers=8), 8),
@@ -163,7 +163,7 @@ def test_minimal_delta_always_emitted():
 
 def test_worker_count_does_not_change_output(monkeypatch):
     # enough CPUs that every worker count below is a stride of its own
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(search, "_cpus", lambda: 64)
     base = scan(SearchConfig(max_x=120, threshold=10, workers=1))
     for workers in (2, 3, 5):
         cfg = SearchConfig(max_x=120, threshold=10, workers=workers)
@@ -180,23 +180,36 @@ def test_worker_count_does_not_change_output(monkeypatch):
 def test_processes_are_capped_at_the_cpu_count(monkeypatch, in_process_pool):
     # 8 workers on 2 CPUs run 2 stripes of stride 2, one process each
     base = scan(SearchConfig(max_x=1200, threshold=300))
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "_cpus", lambda: 2)
     assert scan(SearchConfig(max_x=1200, threshold=300, workers=8)) == base
     [pool] = in_process_pool
     assert pool.processes == 2
     assert pool.jobs == [(0, 2), (1, 2)]
 
     in_process_pool.clear()
-    for cpus in (1, None):
-        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
-        for window in ({"exact_residual": 8}, {"threshold": 300}):
-            cfg = SearchConfig(max_x=1200, workers=8, **window)
-            assert scan(cfg) == scan(replace(cfg, workers=1))
+    monkeypatch.setattr(search, "_cpus", lambda: 1)
+    for window in ({"exact_residual": 8}, {"threshold": 300}):
+        cfg = SearchConfig(max_x=1200, workers=8, **window)
+        assert scan(cfg) == scan(replace(cfg, workers=1))
     assert in_process_pool == []  # one CPU starts no pool
 
 
+def test_cpus_are_those_this_process_may_run_on(monkeypatch):
+    # pinned to one of eight CPUs (as under `taskset -c 0`), a scan runs
+    # in one process
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert search._cpus() == 1
+    assert search.processes(SearchConfig(max_x=7000, exact_residual=8, workers=8)) == 1
+    # without an affinity mask, every CPU counts, and an unknown count is 1
+    monkeypatch.delattr(search.os, "sched_getaffinity")
+    assert search._cpus() == 8
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    assert search._cpus() == 1
+
+
 def test_scan_leaves_no_process_behind(monkeypatch):
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "_cpus", lambda: 2)
     cfg = SearchConfig(max_x=1200, exact_residual=8, workers=2)
     assert (1058, 1103, 1653213, 8) in scan(cfg)
     assert multiprocessing.active_children() == []
