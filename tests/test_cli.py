@@ -62,6 +62,69 @@ def test_gen_formats_carry_identical_numbers(capsys):
     assert tsv_rows == json_rows
 
 
+def reference_output(fmt, rows):
+    """What the CLI prints for these records, one line per row: TSV of
+    their strs, or compact json.dumps of them."""
+    if fmt == "tsv":
+        return "".join("\t".join(map(str, row)) + "\n" for row in rows)
+    return "".join(
+        json.dumps(dict(zip(row._fields, map(str, row))), separators=(",", ":")) + "\n"
+        for row in rows
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (
+            ["search", "--max-x", "40", "--threshold", "20"],
+            lambda: search.scan(search.SearchConfig(max_x=40, threshold=20)),
+        ),
+        (["gen", "--count", "5"], lambda: sequences.gen_recurrence(5)),
+    ],
+    ids=["search", "gen"],
+)
+def test_jsonl_bytes_are_compact_json_dumps(capsys, argv, rows):
+    # byte for byte, not just the parsed values: key order, separators and
+    # the quoting of every value (the search rows include negative deltas)
+    expected = reference_output("jsonl", rows())
+    assert argv[0] == "gen" or '"delta":"-' in expected
+    code, out, _ = run(capsys, *argv, "--format", "jsonl")
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+@pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+def test_gen_past_the_digit_limit_prints_every_earlier_row_whole(capsys, fmt):
+    # with the limit at 1000 digits, z_297 (1002 digits) is the first field
+    # that cannot be printed; rows 0..296 span two output batches
+    members = sequences.gen_recurrence(300)
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(1000)
+        code, out, err = run(capsys, "gen", "--count", "300", "--format", fmt)
+        sys.set_int_max_str_digits(0)
+        assert [len(str(t.z)) for t in members[296:298]] == [999, 1002]
+        expected = reference_output(fmt, members[:297])
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert code == 2
+    assert err.startswith("error: ") and "limit" in err
+    assert out == expected
+
+
+def test_rows_reach_a_text_only_stdout(monkeypatch):
+    # a stream without a binary buffer, as contextlib.redirect_stdout
+    # callers pass, gets the same text
+    import io
+
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["gen", "--count", "4"]) == 0
+    assert out.getvalue() == PAPER_TSV
+
+
 def test_gen_zero_count_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["gen", "--count", "0"])
@@ -419,10 +482,11 @@ def test_console_script_end_to_end():
     [
         ["gen", "--count", "1000"],
         ["search", "--max-x", "400", "--threshold", "20000", "--workers", "2"],
+        ["gen", "--count", "256"],  # one write batch of 223 KB
     ],
 )
 def test_closed_pipe_exits_141_without_traceback(argv):
-    # both commands print far more than a pipe buffer after the first line
+    # each command prints far more than a 64 KB pipe buffer after the first line
     import subprocess
 
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
