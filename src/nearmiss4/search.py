@@ -4,19 +4,22 @@ A hit is a pair min_x <= x <= y <= max_x and a z >= 1 whose residual
 s - z^2, s = x^4 + y^4, lies in the configured window [lo, hi]: (R, R)
 for an exact residual R, (-t, t) for a threshold t.  So the hits of a
 pair are exactly the z with s - hi <= z^2 <= s - lo, and none exceeds
-r = isqrt(s - lo).  Let t = max(-lo, hi) and 2*x^4 > t^2, so s > t^2.
-Two hits z - 1 and z would need 2z - 1 <= hi - lo <= 2t, so z <= t, and
+r = isqrt(s - lo).  Let t = max(-lo, hi) and s > t^2.  Two hits z - 1
+and z would need 2z - 1 <= hi - lo <= 2t, so z <= t, and
 (z - 1)^2 >= s - hi > t^2 - t, which no such z >= 1 meets; so the pair
 has at most one hit.  If z hits, r^2 >= z^2 >= s - hi, so r hits too.
 In this regime r is therefore the one candidate: the pair hits iff
 s - lo - r^2 <= hi - lo, and its residual is s - r^2.
 
-That regime is served by one vectorized kernel for every window.  It
-forms s - lo in int64 and lets it wrap mod 2^64, estimates r as
-sqrt(x^4 + y^4 - lo) in float64, and forms d = s - lo - r*r, which wraps
-too.  The wrapped d is nevertheless exact: r is off by at most one, so
-the true |s - lo - r^2| is at most 4r + 3, far below 2^63, and a value
-below 2^63 survives reduction mod 2^64 unchanged.  Moving r by one where
+The regime is a property of the pair, taken here as x >= x0, the least
+x with 2*x^4 > t^2, or y >= y0 >= x0, the least y with y^4 > t^2.  It
+is served by one vectorized kernel for every window, over the square
+x0 <= x <= y and the rectangle x < x0 <= y0 <= y.  It forms s - lo in
+int64 and lets it wrap mod 2^64, estimates r as sqrt(x^4 + y^4 - lo) in
+float64, and forms d = s - lo - r*r, which wraps too.  The wrapped d
+is nevertheless exact: r is off by at most one, so the true
+|s - lo - r^2| is at most 4r + 3, far below 2^63, and a value below
+2^63 survives reduction mod 2^64 unchanged.  Moving r by one where
 d < 0 or d > 2r then makes r = isqrt(s - lo) exactly.  The float
 estimate errs by well under one up to KERNEL_MAX_X.
 
@@ -26,15 +29,18 @@ some v in lo..hi, so s - v is a square mod M = SIEVE_MODULUS = 432 =
 (x mod M, y mod M) allow that: 10.49% of them for an exact residual 8,
 all of them for a threshold of 9 or more.  The sieve drops only pairs
 that cannot hit, and every pair it keeps is still checked exactly.
-Since the test is symmetric in x and y, each pair is taken once, under
-the smaller of its two classes: class c is paired with the admissible
-classes c' >= c, in blocks of at most SIEVE_BLOCK_PAIRS pairs.
+In the square, which is symmetric in x and y, each pair is taken once,
+under the smaller of its two classes: class c is paired with the
+admissible classes c' >= c.  In the rectangle every y exceeds every x,
+so c is paired with every admissible c'.  Either way the pairs run in
+blocks of at most SIEVE_BLOCK_PAIRS.
 
-The pure-Python window loop serves the rest: the small-s regime
-2*x^4 <= t^2, max_x above KERNEL_MAX_X, and force_exact.  It is the
-reference the kernel is tested against.  Threshold configs for which
-the window loop could emit more than MAX_WINDOW_ROWS rows beyond one
-per pair are refused before anything runs.
+The pure-Python window loop serves the rest: the corner x < x0, y < y0,
+where s may be at most t^2, every pair when max_x is above KERNEL_MAX_X,
+and force_exact.  It is the reference the kernel is tested against.
+Threshold configs for which the window loop could emit more than
+MAX_WINDOW_ROWS rows beyond one per pair are refused before anything
+runs.
 
 The window-loop x values and the kernel's classes are split into
 interleaved stripes, one process each, at most one per CPU this process
@@ -61,12 +67,13 @@ __all__ = ["SearchConfig", "SearchHit", "processes", "scan", "verify_hit"]
 
 # Largest max_x the kernel serves.  The float64 tables hold x^4 and y^4
 # to a relative error of 2^-53 each; subtracting lo, the sum and the
-# square root add one rounding each, and |lo| < 1.5 * x^2 is tiny
-# beside s, so the estimate of r = sqrt(s - lo) is off by at most about
-# 1.25 * r * 2^-52.  With y <= 2^25, r <= sqrt(2) * 2^50 and that error
-# stays below 0.45, so truncating the estimate lands on r - 1, r or
-# r + 1, which the +/-1 correction repairs.  x^2 <= 2^50 is exact in
-# both tables, so x^4 is rounded once.
+# square root add one rounding each, and |lo| <= t < sqrt(s) is tiny
+# beside s (s > t^2 for every kernel pair), so the estimate of
+# r = sqrt(s - lo) is off by at most about 1.25 * r * 2^-52.  With
+# y <= 2^25, r <= sqrt(2) * 2^50 and that error stays below 0.45, so
+# truncating the estimate lands on r - 1, r or r + 1, which the +/-1
+# correction repairs.  x^2 <= 2^50 is exact in both tables, so x^4 is
+# rounded once.
 KERNEL_MAX_X = 2**25
 
 # Upper bound on workers.  A scan runs processes(cfg) stripes, one
@@ -132,12 +139,11 @@ class SearchHit(NamedTuple):
 _Row = tuple[int, int, int, int]
 
 
-def _scan_x_exact(x: int, cfg: SearchConfig) -> list[_Row]:
+def _scan_x_exact(x: int, y_end: int, lo: int, hi: int) -> list[_Row]:
     # every z with s - hi <= z^2 <= s - lo is a hit, and no other
-    lo, hi = cfg.window
     rows: list[_Row] = []
     x4 = x**4
-    for y in range(x, cfg.max_x + 1):
+    for y in range(x, y_end):
         s = x4 + y**4
         if s < lo:
             continue
@@ -161,9 +167,20 @@ def _kernel_start(cfg: SearchConfig, force_exact: bool = False) -> int:
     return min(max(cfg.min_x, _kernel_min_x(max(-lo, hi))), cfg.max_x + 1)
 
 
+def _kernel_y_start(cfg: SearchConfig, x0: int) -> int:
+    """First y the kernel serves beside the x below x0: the least y with
+    y^4 > t^2, so that every pair it makes has s > t^2, raised to x0 and
+    capped at max_x + 1.  The window loop takes the pairs x < x0, y below
+    it."""
+    lo, hi = cfg.window
+    return min(max(isqrt(max(-lo, hi)) + 1, x0), cfg.max_x + 1)
+
+
 def _extra_rows_bound(cfg: SearchConfig) -> int:
     """Upper bound on the rows the window loop emits beyond one per pair,
-    for a threshold t.
+    for a threshold t.  It counts every y for each x below x0, but the
+    window loop takes only the y below y0, and the kernel emits at most
+    one row per pair: the bound holds, loosely.
 
     The hits of a pair are the z with s - t <= z^2 <= s + t, at most
     1 + sqrt(s + t) - sqrt(max(s - t, 0)) of them.  That difference is
@@ -218,47 +235,59 @@ def _admissible(lo: int, hi: int) -> np.ndarray:
     return reachable[(k4[:, None] + k4[None, :]) % m]
 
 
-def _scan_kernel(lo: int, hi: int, x0: int, max_x: int, index: int, stride: int) -> list[_Row]:
-    """Hits lo <= x^4 + y^4 - z^2 <= hi over x0 <= x <= y <= max_x, for
-    this worker's stripe of the classes mod SIEVE_MODULUS.
+def _scan_kernel(cfg: SearchConfig, x0: int, y0: int, index: int, stride: int) -> list[_Row]:
+    """Hits lo <= x^4 + y^4 - z^2 <= hi, for this worker's stripe of the
+    classes mod SIEVE_MODULUS, over two regions: the square
+    x0 <= x <= y <= max_x and the rectangle min_x <= x < x0 <= y0 <= y
+    <= max_x.
 
-    Valid only when 2*x0^4 > t^2 for t = max(-lo, hi), so that a pair's
-    only possible hit is z = isqrt(s - lo), and the residual fits int64.
+    Valid only when every pair of both has s > t^2 for t = max(-lo, hi),
+    so that its only possible hit is z = isqrt(s - lo), and the residual
+    fits int64: 2*x0^4 > t^2 and y0^4 > t^2.
     """
+    lo, hi = cfg.window
+    max_x = cfg.max_x
     m = SIEVE_MODULUS
     table = _admissible(lo, hi)
     span = hi - lo
-    periods = np.arange(x0 - x0 % m, max_x + 1, m, dtype=np.int64)
     hits: list[tuple[np.ndarray, ...]] = []
-    for c in range(index, m, stride):
-        xs = np.arange(x0 + (c - x0) % m, max_x + 1, m, dtype=np.int64)
-        if not xs.size:
+    # (x range, first y, square?); class c is paired with the classes
+    # c' >= c in the square, which is symmetric, and with every class in
+    # the rectangle, where every y exceeds every x
+    for x_lo, x_end, y_lo, square in ((x0, max_x + 1, x0, True), (cfg.min_x, x0, y0, False)):
+        if x_lo >= x_end or y_lo > max_x:
             continue
-        ys = (periods[:, None] + (np.flatnonzero(table[c, c:]) + c)).ravel()
-        ys = ys[(ys >= x0) & (ys <= max_x)]
-        if not ys.size:
-            continue
-        p4x, f4x = _pow4(xs)
-        p4y, f4y = _pow4(ys)
-        p4y -= lo  # y^4 - lo; this and the sums below wrap mod 2^64
-        f4y -= lo
-        h = max(1, SIEVE_BLOCK_PAIRS // ys.size)
-        w = SIEVE_BLOCK_PAIRS // h
-        for i in range(0, xs.size, h):
-            for j in range(0, ys.size, w):
-                width = min(w, ys.size - j)
-                r, d = _isqrt(
-                    (p4x[i : i + h, None] + p4y[None, j : j + w]).ravel(),
-                    (f4x[i : i + h, None] + f4y[None, j : j + w]).ravel(),
-                )
-                k = np.flatnonzero(d <= span)  # d = s - lo - r^2 >= 0
-                if k.size:
-                    hits.append((xs[i + k // width], ys[j + k % width], r[k], d[k]))
+        periods = np.arange(y_lo - y_lo % m, max_x + 1, m, dtype=np.int64)
+        for c in range(index, m, stride):
+            xs = np.arange(x_lo + (c - x_lo) % m, x_end, m, dtype=np.int64)
+            if not xs.size:
+                continue
+            first = c if square else 0
+            ys = (periods[:, None] + (np.flatnonzero(table[c, first:]) + first)).ravel()
+            ys = ys[(ys >= y_lo) & (ys <= max_x)]
+            if not ys.size:
+                continue
+            p4x, f4x = _pow4(xs)
+            p4y, f4y = _pow4(ys)
+            p4y -= lo  # y^4 - lo; this and the sums below wrap mod 2^64
+            f4y -= lo
+            h = max(1, SIEVE_BLOCK_PAIRS // ys.size)
+            w = SIEVE_BLOCK_PAIRS // h
+            for i in range(0, xs.size, h):
+                for j in range(0, ys.size, w):
+                    width = min(w, ys.size - j)
+                    r, d = _isqrt(
+                        (p4x[i : i + h, None] + p4y[None, j : j + w]).ravel(),
+                        (f4x[i : i + h, None] + f4y[None, j : j + w]).ravel(),
+                    )
+                    k = np.flatnonzero(d <= span)  # d = s - lo - r^2 >= 0
+                    if k.size:
+                        hits.append((xs[i + k // width], ys[j + k % width], r[k], d[k]))
     if not hits:
         return []
     x, y, r, d = map(np.concatenate, zip(*hits))
-    # a pair of two values of one class appears in that class's block
-    # twice, as (x, y) and as (y, x)
+    # a pair of two values of one class appears in that class's square
+    # block twice, as (x, y) and as (y, x); rectangle rows have x < y
     keep = (x <= y) | (x % m != y % m)
     return list(
         zip(
@@ -272,11 +301,12 @@ def _scan_kernel(lo: int, hi: int, x0: int, max_x: int, index: int, stride: int)
 
 def _scan_stripe(cfg: SearchConfig, index: int, stride: int, force_exact: bool) -> list[_Row]:
     x0 = _kernel_start(cfg, force_exact)
+    y0 = _kernel_y_start(cfg, x0)
     rows: list[_Row] = []
     for x in range(cfg.min_x + index, x0, stride):
-        rows.extend(_scan_x_exact(x, cfg))
+        rows.extend(_scan_x_exact(x, y0, *cfg.window))
     if x0 <= cfg.max_x:
-        rows.extend(_scan_kernel(*cfg.window, x0, cfg.max_x, index, stride))
+        rows.extend(_scan_kernel(cfg, x0, y0, index, stride))
     return rows
 
 
@@ -303,13 +333,17 @@ def scan(cfg: SearchConfig, force_exact: bool = False) -> list[SearchHit]:
     """
     stripes = processes(cfg)
     if stripes == 1:
-        chunks = [_scan_stripe(cfg, 0, 1, force_exact)]
+        rows = _scan_stripe(cfg, 0, 1, force_exact)
     else:
         jobs = [(cfg, i, stripes, force_exact) for i in range(stripes)]
         with Pool(stripes) as pool:
-            chunks = pool.starmap(_scan_stripe, jobs)
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=itemgetter(1, 0, 2))
+            rows = [row for chunk in pool.starmap(_scan_stripe, jobs) for row in chunk]
+    # the rows of one pair come from one stripe in z order: the window
+    # loop emits them so, and the kernel emits at most one per pair.  So
+    # two stable sorts on one int key each, x and then y, leave them in
+    # (y, x, z) order, faster than one sort on a tuple key
+    rows.sort(key=itemgetter(0))
+    rows.sort(key=itemgetter(1))
     return list(map(SearchHit._make, rows))
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from oracle import as_tsv, naive_scan
@@ -25,6 +25,7 @@ from nearmiss4.search import (
     _isqrt,
     _kernel_min_x,
     _kernel_start,
+    _kernel_y_start,
     _pow4,
     scan,
     verify_hit,
@@ -239,7 +240,7 @@ def test_fast_and_exact_paths_agree():
         assert scan(cfg) == scan(cfg, force_exact=True)
 
 
-def no_window_loop(x, cfg):
+def no_window_loop(x, *args):
     raise AssertionError(f"x={x} left the kernel")
 
 
@@ -458,6 +459,124 @@ def test_force_exact_runs_no_sieve(monkeypatch):
     monkeypatch.setattr(search, "_scan_kernel", no_sieve)
     cfg = SearchConfig(max_x=40, exact_residual=8)
     assert scan(cfg, force_exact=True) == naive_scan(1, 40, exact_residual=8)
+
+
+def test_kernel_y_start():
+    # y0 is the least y with y^4 > t^2, also for t a perfect square
+    for t in (0, 1, 7, 8, 9, 16, 20, 50, 239, 300, 1296, 20000, 10**6 + 3, 10**12):
+        for residual in (t, -t):
+            cfg = SearchConfig(max_x=10**7, exact_residual=residual)
+            y = _kernel_y_start(cfg, _kernel_start(cfg))
+            assert y**4 > t * t >= (y - 1) ** 4
+    # raised to x0, capped at max_x + 1
+    cfg = SearchConfig(min_x=50, max_x=60, threshold=300)
+    assert _kernel_start(cfg) == 50 and _kernel_y_start(cfg, 50) == 50
+    cfg = SearchConfig(max_x=10, threshold=300)
+    assert _kernel_y_start(cfg, _kernel_start(cfg)) == 11
+    assert _kernel_y_start(cfg, _kernel_start(cfg, force_exact=True)) == 11
+
+
+def test_pairs_below_y0_stay_in_the_window_loop():
+    # isqrt(t) = k for t from k^2 to k^2 + 2k, and y = k has y^4 <= t^2;
+    # a pair (x, k) with x^4 near k^2 then hits twice, at z = k^2 and
+    # k^2 + 1, as (2, 4) does for t = 17
+    for k in range(1, 13):
+        for t in range(k * k, k * k + 2 * k + 1):
+            cfg = SearchConfig(max_x=k + 1, threshold=t)
+            assert scan(cfg) == scan(cfg, force_exact=True)
+
+
+def test_window_loop_takes_only_the_corner(monkeypatch):
+    # x < x0 = 3 and y < y0 = 3 for residual 8: the pairs (1, 1), (1, 2)
+    # and (2, 2); the kernel takes x = 1, 2 with every y from 3 on
+    seen = []
+
+    def recording_window_loop(x, y_end, lo, hi):
+        seen.append((x, y_end))
+        return window_loop(x, y_end, lo, hi)
+
+    window_loop = search._scan_x_exact
+    monkeypatch.setattr(search, "_scan_x_exact", recording_window_loop)
+    hits = scan(SearchConfig(max_x=7000, exact_residual=8))
+    assert seen == [(1, 3), (2, 3)]
+    assert {(1, 2, 3, 8), (22, 23, 717, 8), (1058, 1103, 1653213, 8)} <= set(hits)
+
+
+@pytest.mark.parametrize(
+    "window, hit",
+    [
+        # y = 432 is class 0, below the class of every x
+        ({"threshold": 300}, (1, 432, 186624, 1)),
+        # (6, y, y^2, 6^4) hits for every y
+        ({"exact_residual": 1296}, (6, 6 * 80, 36 * 80**2, 1296)),
+    ],
+    ids=["threshold-300", "residual-1296"],
+)
+def test_rectangle_pairs_every_class(window, hit):
+    # x < x0 and y >= y0 over a range wider than 432: hits whose y class
+    # lies below their x class, which pairing class c with c' >= c only
+    # would miss
+    cfg = SearchConfig(max_x=1200, **window)
+    x0 = _kernel_start(cfg)
+    y0 = _kernel_y_start(cfg, x0)
+    hits = scan(cfg)
+    assert hits == scan(cfg, force_exact=True)
+    assert hit in hits
+    below = [h for h in hits if h.x < x0 <= y0 <= h.y and h.y % SIEVE_MODULUS < h.x]
+    assert len(below) == {"threshold": 20, "exact_residual": 12}[next(iter(window))]
+
+
+@st.composite
+def corner_windows(draw):
+    """(min_x, max_x, window) over ranges that cross both x0 and y0:
+    t = max(-lo, hi) from k^2 to k^2 + 2k, where isqrt(t) = k, or the
+    nearest residual of a pair (x, y) with x < x0 and y past 432."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 40))
+        t = k * k + draw(st.integers(0, 2 * k))
+        fields = draw(
+            st.sampled_from([{"threshold": t}, {"exact_residual": t}, {"exact_residual": -t}])
+        )
+        x0 = _kernel_min_x(t)
+        assume(x0 > 1)
+        min_x = draw(st.integers(1, x0 - 1))
+        max_x = draw(st.integers(k + 1, k + 1 + 2 * SIEVE_MODULUS))
+        return min_x, max_x, fields
+    x = draw(st.integers(1, 60))
+    y = SIEVE_MODULUS + draw(st.integers(0, 60))
+    s = x**4 + y**4
+    r = math.isqrt(s)
+    residual = draw(st.sampled_from([s - r * r, s - (r + 1) ** 2]))
+    assume(2 * x**4 <= residual**2 < y**4)  # x < x0 and y >= y0
+    return draw(st.integers(1, x)), y + draw(st.integers(0, 30)), {"exact_residual": residual}
+
+
+@settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(corner_windows())
+def test_corner_and_rectangle_match_exact(monkeypatch, in_process_pool, window):
+    monkeypatch.setattr(search, "_cpus", lambda: 2)
+    min_x, max_x, fields = window
+    cfg = SearchConfig(min_x=min_x, max_x=max_x, **fields)
+    x0 = _kernel_start(cfg)
+    assert min_x < x0 <= _kernel_y_start(cfg, x0) <= max_x
+    expected = scan(cfg, force_exact=True)
+    for workers in (1, 2):
+        assert scan(replace(cfg, workers=workers)) == expected
+
+
+def test_rows_of_a_pair_stay_in_z_order(monkeypatch, in_process_pool):
+    # small pairs have many z each; every stripe count must merge them
+    # into (y, x, z) order
+    monkeypatch.setattr(search, "_cpus", lambda: 4)
+    expected = naive_scan(1, 60, threshold=2000)
+    assert len(expected) > len({(x, y) for x, y, _, _ in expected})
+    for workers in (1, 2, 3):
+        in_process_pool.clear()
+        hits = scan(SearchConfig(max_x=60, threshold=2000, workers=workers))
+        assert hits == expected
+        assert len(in_process_pool) == (workers > 1)
 
 
 def test_kernel_min_x():
