@@ -11,17 +11,17 @@ has at most one hit.  If z hits, r^2 >= z^2 >= s - hi, so r hits too.
 In this regime r is therefore the one candidate: the pair hits iff
 s - lo - r^2 <= hi - lo, and its residual is s - r^2.
 
-The regime is a property of the pair, taken here as x >= x0, the least
-x with 2*x^4 > t^2, or y >= y0 >= x0, the least y with y^4 > t^2.  It
-is served by one vectorized kernel for every window, over the square
-x0 <= x <= y and the rectangle x < x0 <= y0 <= y.  It forms s - lo in
-int64 and lets it wrap mod 2^64, estimates r as sqrt(x^4 + y^4 - lo) in
-float64, and forms d = s - lo - r*r, which wraps too.  The wrapped d
-is nevertheless exact: r is off by at most one, so the true
-|s - lo - r^2| is at most 4r + 3, far below 2^63, and a value below
-2^63 survives reduction mod 2^64 unchanged.  Moving r by one where
-d < 0 or d > 2r then makes r = isqrt(s - lo) exactly.  The float
-estimate errs by well under one up to KERNEL_MAX_X.
+The regime is a property of the pair, taken here as y >= y0, the least
+y with y^4 > t^2, so that s >= y^4 > t^2.  That one number splits the
+scan: one vectorized kernel takes every pair with y >= y0, for every
+window, over the square y0 <= x <= y and the rectangle x < y0 <= y.  It
+forms s - lo in int64 and lets it wrap mod 2^64, estimates r as
+sqrt(x^4 + y^4 - lo) in float64, and forms d = s - lo - r*r, which
+wraps too.  The wrapped d is nevertheless exact: r is off by at most
+one, so the true |s - lo - r^2| is at most 4r + 3, far below 2^63, and
+a value below 2^63 survives reduction mod 2^64 unchanged.  Moving r by
+one where d < 0 or d > 2r then makes r = isqrt(s - lo) exactly.  The
+float estimate errs by well under one up to KERNEL_MAX_X.
 
 The kernel runs behind a congruence sieve.  A hit means s - v = z^2 for
 some v in lo..hi, so s - v is a square mod M = SIEVE_MODULUS = 432 =
@@ -35,19 +35,20 @@ admissible classes c' >= c.  In the rectangle every y exceeds every x,
 so c is paired with every admissible c'.  Either way the pairs run in
 blocks of at most SIEVE_BLOCK_PAIRS.
 
-The pure-Python window loop serves the rest: the corner x < x0, y < y0,
-where s may be at most t^2, every pair when max_x is above KERNEL_MAX_X,
-and force_exact.  It is the reference the kernel is tested against.
+The pure-Python window loop takes the band y < y0, where s may be at
+most t^2.  It is the reference the kernel is tested against: under
+force_exact, or when max_x is above KERNEL_MAX_X, y0 is max_x + 1 and
+the window loop takes every pair.
 Threshold configs for which the window loop could emit more than
 MAX_WINDOW_ROWS rows beyond one per pair are refused before anything
 runs.
 
-The window-loop x values and the kernel's classes are split into
-interleaved stripes, one process each, at most one per CPU this process
-may run on and one per x, and the merged rows are sorted by (y, x, z),
-so output is independent of the worker count.  Workers return plain
-tuples, which pickle several times faster than SearchHits; each merged
-row becomes a SearchHit once.
+The x values of the window loop and of each kernel region are split
+into interleaved stripes, one process each, at most one per CPU this
+process may run on and one per x, and the merged rows are sorted by
+(y, x, z), so output is independent of the worker count.  Workers
+return plain tuples, which pickle several times faster than
+SearchHits; each merged row becomes a SearchHit once.
 """
 
 from __future__ import annotations
@@ -86,8 +87,10 @@ MAX_WORKERS = 1024
 # classes cost more in per-block overhead than the pairs they drop.
 SIEVE_MODULUS = 432
 
-# Most pairs one kernel block evaluates, for every window; keeps its
-# arrays within cache and its memory flat at any max_x.
+# Most pairs one kernel block evaluates, for every window; bounds the
+# memory of each block, which stays flat at any max_x.  It does not keep
+# a block within cache: a full block's int64 temporaries are 256 KB,
+# above glibc's mmap threshold, and 2^13 measured faster at max_x 20000.
 SIEVE_BLOCK_PAIRS = 2**15
 
 # Most rows a threshold may add to the window loop beyond one per pair,
@@ -154,33 +157,30 @@ def _scan_x_exact(x: int, y_end: int, lo: int, hi: int) -> list[_Row]:
 
 
 def _kernel_min_x(t: int) -> int:
-    """Smallest x >= 1 with 2*x^4 > t^2, where the kernel applies: the
-    least x with x^4 > t^2 // 2, one above its integer fourth root."""
+    """Smallest x >= 1 with 2*x^4 > t^2, from which on every pair has at
+    most one hit: the least x with x^4 > t^2 // 2, one above its integer
+    fourth root."""
     return isqrt(isqrt(t * t // 2)) + 1
 
 
-def _kernel_start(cfg: SearchConfig, force_exact: bool = False) -> int:
-    """First x the kernel serves; the window loop takes the x below it."""
+def _kernel_y_start(cfg: SearchConfig, force_exact: bool = False) -> int:
+    """y0, which splits the scan: the kernel takes every pair with
+    y >= y0 and the window loop every pair below it.  It is the least y
+    with y^4 > t^2, so that every kernel pair has s > t^2, raised to
+    min_x and capped at max_x + 1; max_x + 1 under force_exact or past
+    KERNEL_MAX_X."""
     if force_exact or cfg.max_x > KERNEL_MAX_X:
         return cfg.max_x + 1
     lo, hi = cfg.window
-    return min(max(cfg.min_x, _kernel_min_x(max(-lo, hi))), cfg.max_x + 1)
-
-
-def _kernel_y_start(cfg: SearchConfig, x0: int) -> int:
-    """First y the kernel serves beside the x below x0: the least y with
-    y^4 > t^2, so that every pair it makes has s > t^2, raised to x0 and
-    capped at max_x + 1.  The window loop takes the pairs x < x0, y below
-    it."""
-    lo, hi = cfg.window
-    return min(max(isqrt(max(-lo, hi)) + 1, x0), cfg.max_x + 1)
+    return min(max(isqrt(max(-lo, hi)) + 1, cfg.min_x), cfg.max_x + 1)
 
 
 def _extra_rows_bound(cfg: SearchConfig) -> int:
     """Upper bound on the rows the window loop emits beyond one per pair,
-    for a threshold t.  It counts every y for each x below x0, but the
-    window loop takes only the y below y0, and the kernel emits at most
-    one row per pair: the bound holds, loosely.
+    for a threshold t.  Only a pair with x < x0 = _kernel_min_x(t) can
+    hit twice.  The bound counts every y for each such x, and for every
+    x when max_x is above KERNEL_MAX_X, though the window loop takes only
+    the y below y0: it holds, loosely.
 
     The hits of a pair are the z with s - t <= z^2 <= s + t, at most
     1 + sqrt(s + t) - sqrt(max(s - t, 0)) of them.  That difference is
@@ -188,7 +188,8 @@ def _extra_rows_bound(cfg: SearchConfig) -> int:
     its sum over all y >= 1 is at most 2*(2t)^(3/4) + sqrt(2t).
     """
     t = cfg.threshold
-    n_x = _kernel_start(cfg) - cfg.min_x
+    x0 = _kernel_min_x(t) if cfg.max_x <= KERNEL_MAX_X else cfg.max_x + 1
+    n_x = min(max(cfg.min_x, x0), cfg.max_x + 1) - cfg.min_x
     n_y = cfg.max_x - cfg.min_x + 1
     root = isqrt(2 * t) + 1  # > sqrt(2t)
     per_x = min(
@@ -235,15 +236,15 @@ def _admissible(lo: int, hi: int) -> np.ndarray:
     return reachable[(k4[:, None] + k4[None, :]) % m]
 
 
-def _scan_kernel(cfg: SearchConfig, x0: int, y0: int, index: int, stride: int) -> list[_Row]:
-    """Hits lo <= x^4 + y^4 - z^2 <= hi, for this worker's stripe of the
-    classes mod SIEVE_MODULUS, over two regions: the square
-    x0 <= x <= y <= max_x and the rectangle min_x <= x < x0 <= y0 <= y
-    <= max_x.
+def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> list[_Row]:
+    """Hits lo <= x^4 + y^4 - z^2 <= hi, for this worker's stripe of each
+    region's residues mod SIEVE_MODULUS, over every pair with y >= y0:
+    the square y0 <= x <= y <= max_x and the rectangle
+    min_x <= x < y0 <= y <= max_x.
 
-    Valid only when every pair of both has s > t^2 for t = max(-lo, hi),
+    Valid only when every such pair has s > t^2 for t = max(-lo, hi),
     so that its only possible hit is z = isqrt(s - lo), and the residual
-    fits int64: 2*x0^4 > t^2 and y0^4 > t^2.
+    fits int64: y0^4 > t^2.
     """
     lo, hi = cfg.window
     max_x = cfg.max_x
@@ -251,20 +252,17 @@ def _scan_kernel(cfg: SearchConfig, x0: int, y0: int, index: int, stride: int) -
     table = _admissible(lo, hi)
     span = hi - lo
     hits: list[tuple[np.ndarray, ...]] = []
-    # (x range, first y, square?); class c is paired with the classes
-    # c' >= c in the square, which is symmetric, and with every class in
-    # the rectangle, where every y exceeds every x
-    for x_lo, x_end, y_lo, square in ((x0, max_x + 1, x0, True), (cfg.min_x, x0, y0, False)):
-        if x_lo >= x_end or y_lo > max_x:
-            continue
-        periods = np.arange(y_lo - y_lo % m, max_x + 1, m, dtype=np.int64)
-        for c in range(index, m, stride):
-            xs = np.arange(x_lo + (c - x_lo) % m, x_end, m, dtype=np.int64)
-            if not xs.size:
-                continue
+    periods = np.arange(y0 - y0 % m, max_x + 1, m, dtype=np.int64)
+    # (x range, square?); class c is paired with the classes c' >= c in
+    # the square, which is symmetric, and with every class in the
+    # rectangle, where every y exceeds every x
+    for x_lo, x_end, square in ((y0, max_x + 1, True), (cfg.min_x, y0, False)):
+        for x_first in range(x_lo + index, min(x_lo + m, x_end), stride):
+            xs = np.arange(x_first, x_end, m, dtype=np.int64)
+            c = x_first % m
             first = c if square else 0
             ys = (periods[:, None] + (np.flatnonzero(table[c, first:]) + first)).ravel()
-            ys = ys[(ys >= y_lo) & (ys <= max_x)]
+            ys = ys[(ys >= y0) & (ys <= max_x)]
             if not ys.size:
                 continue
             p4x, f4x = _pow4(xs)
@@ -299,14 +297,12 @@ def _scan_kernel(cfg: SearchConfig, x0: int, y0: int, index: int, stride: int) -
     )
 
 
-def _scan_stripe(cfg: SearchConfig, index: int, stride: int, force_exact: bool) -> list[_Row]:
-    x0 = _kernel_start(cfg, force_exact)
-    y0 = _kernel_y_start(cfg, x0)
+def _scan_stripe(cfg: SearchConfig, index: int, stride: int, y0: int) -> list[_Row]:
     rows: list[_Row] = []
-    for x in range(cfg.min_x + index, x0, stride):
+    for x in range(cfg.min_x + index, y0, stride):
         rows.extend(_scan_x_exact(x, y0, *cfg.window))
-    if x0 <= cfg.max_x:
-        rows.extend(_scan_kernel(cfg, x0, y0, index, stride))
+    if y0 <= cfg.max_x:
+        rows.extend(_scan_kernel(cfg, y0, index, stride))
     return rows
 
 
@@ -332,10 +328,11 @@ def scan(cfg: SearchConfig, force_exact: bool = False) -> list[SearchHit]:
     either way (asserted by the test suite on overlap ranges).
     """
     stripes = processes(cfg)
+    y0 = _kernel_y_start(cfg, force_exact)
     if stripes == 1:
-        rows = _scan_stripe(cfg, 0, 1, force_exact)
+        rows = _scan_stripe(cfg, 0, 1, y0)
     else:
-        jobs = [(cfg, i, stripes, force_exact) for i in range(stripes)]
+        jobs = [(cfg, i, stripes, y0) for i in range(stripes)]
         with Pool(stripes) as pool:
             rows = [row for chunk in pool.starmap(_scan_stripe, jobs) for row in chunk]
     # the rows of one pair come from one stripe in z order: the window

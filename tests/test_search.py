@@ -24,7 +24,6 @@ from nearmiss4.search import (
     _extra_rows_bound,
     _isqrt,
     _kernel_min_x,
-    _kernel_start,
     _kernel_y_start,
     _pow4,
     scan,
@@ -236,6 +235,8 @@ def test_fast_and_exact_paths_agree():
         SearchConfig(max_x=200, threshold=3),
         SearchConfig(max_x=300, exact_residual=8),
         SearchConfig(max_x=150, min_x=7, exact_residual=-16),
+        # the square 5..869 is wider than 432: its last residue, x = 436, has hits
+        SearchConfig(max_x=5 + 2 * SIEVE_MODULUS, min_x=5, threshold=10**4),
     ):
         assert scan(cfg) == scan(cfg, force_exact=True)
 
@@ -245,7 +246,7 @@ def no_window_loop(x, *args):
 
 
 def test_large_threshold_stays_in_kernel(monkeypatch):
-    # 2*x^4 > t^2 holds for every x here although t > 2^32, so no x may
+    # y^4 > t^2 holds for every y here although t > 2^32, so no x may
     # fall back to the window loop
     cfg = SearchConfig(min_x=200_000, max_x=200_100, threshold=2**32 + 1)
     expected = scan(cfg, force_exact=True)
@@ -254,18 +255,33 @@ def test_large_threshold_stays_in_kernel(monkeypatch):
 
 
 def test_tightest_kernel_pairs(monkeypatch):
-    # 2*x^4 = t^2 + 1 only at (x, t) = (1, 1) and (13, 239) (Ljunggren
-    # 1942): the kernel's regime holds with no room to spare, and the
-    # hit is z = isqrt(s + t) = t, the edge of the one-candidate rule
+    # t = k^2 + 2k has y0 = k + 1 and y0^4 - t^2 = 2*y0^2 - 1, the least
+    # room a kernel pair can have (t = 255: y0 = 16), and (1, 16) hits at
+    # z = isqrt(s + t) = 256.  The pairs with 2*x^4 = t^2 + 1, (x, t) =
+    # (1, 1) and (13, 239) (Ljunggren 1942), have y < y0, so the window
+    # loop finds their hit z = t
+    assert 16**4 - 255**2 == 2 * 16**2 - 1
     cases = [
-        (SearchConfig(min_x=13, max_x=40, threshold=239), SearchHit(13, 13, 239, 1)),
-        (SearchConfig(max_x=5, threshold=1), SearchHit(1, 1, 1, 1)),
+        (SearchConfig(max_x=40, threshold=255), 16, SearchHit(1, 16, 256, 1), False),
+        (SearchConfig(min_x=13, max_x=40, threshold=239), 16, SearchHit(13, 13, 239, 1), True),
+        (SearchConfig(max_x=5, threshold=1), 2, SearchHit(1, 1, 1, 1), True),
     ]
-    expected = [scan(cfg, force_exact=True) for cfg, _ in cases]
-    monkeypatch.setattr(search, "_scan_x_exact", no_window_loop)
-    for (cfg, hit), exact in zip(cases, expected):
+    expected = [scan(cfg, force_exact=True) for cfg, *_ in cases]
+    calls = []
+
+    def recording_window_loop(x, y_end, lo, hi):
+        rows = window_loop(x, y_end, lo, hi)
+        calls.append((y_end, rows))
+        return rows
+
+    window_loop = search._scan_x_exact
+    monkeypatch.setattr(search, "_scan_x_exact", recording_window_loop)
+    for (cfg, y0, hit, in_window_loop), exact in zip(cases, expected):
+        calls.clear()
         hits = scan(cfg)
+        assert _kernel_y_start(cfg) == y0 and {y_end for y_end, _ in calls} == {y0}
         assert hit in hits and hits == exact
+        assert (hit in [row for _, rows in calls for row in rows]) == in_window_loop
 
 
 def test_family_member_two_found():
@@ -309,8 +325,8 @@ def boundary_pairs(draw):
 def test_kernel_row_is_exact_isqrt(pair):
     x, y = pair
     p4, f4 = _pow4(np.arange(x, y + 1, dtype=np.int64))
-    # the kernel subtracts lo from the y tables; |lo| <= t_max keeps x in
-    # the kernel's regime 2*x^4 > t^2
+    # the kernel subtracts lo from the y tables; |lo| <= t_max gives
+    # s >= 2*x^4 > t^2, the regime every kernel pair is in
     t_max = math.isqrt(2 * x**4 - 1)
     for lo in (-t_max, 0, t_max):
         # s - lo wraps mod 2^64 without warning
@@ -438,9 +454,9 @@ def test_sieve_takes_a_same_class_pair_once():
     x, y = 1000, 1000 + SIEVE_MODULUS
     z = math.isqrt(x**4 + y**4) + 1
     residual = x**4 + y**4 - z * z
-    assert _kernel_min_x(abs(residual)) <= x  # the pair is in the kernel's regime
     for window in ({"exact_residual": residual}, {"threshold": abs(residual)}):
         cfg = SearchConfig(min_x=x, max_x=y, **window)
+        assert _kernel_y_start(cfg) == x  # the pair is in the kernel's square
         hits = scan(cfg)
         assert hits.count((x, y, z, residual)) == 1
         assert hits == scan(cfg, force_exact=True)
@@ -465,15 +481,16 @@ def test_kernel_y_start():
     # y0 is the least y with y^4 > t^2, also for t a perfect square
     for t in (0, 1, 7, 8, 9, 16, 20, 50, 239, 300, 1296, 20000, 10**6 + 3, 10**12):
         for residual in (t, -t):
-            cfg = SearchConfig(max_x=10**7, exact_residual=residual)
-            y = _kernel_y_start(cfg, _kernel_start(cfg))
+            y = _kernel_y_start(SearchConfig(max_x=10**7, exact_residual=residual))
             assert y**4 > t * t >= (y - 1) ** 4
-    # raised to x0, capped at max_x + 1
-    cfg = SearchConfig(min_x=50, max_x=60, threshold=300)
-    assert _kernel_start(cfg) == 50 and _kernel_y_start(cfg, 50) == 50
-    cfg = SearchConfig(max_x=10, threshold=300)
-    assert _kernel_y_start(cfg, _kernel_start(cfg)) == 11
-    assert _kernel_y_start(cfg, _kernel_start(cfg, force_exact=True)) == 11
+    # raised to min_x, capped at max_x + 1
+    assert _kernel_y_start(SearchConfig(min_x=50, max_x=60, threshold=300)) == 50
+    assert _kernel_y_start(SearchConfig(max_x=10, threshold=300)) == 11
+    # max_x + 1 under force_exact and past KERNEL_MAX_X
+    cfg = SearchConfig(max_x=7000, exact_residual=8)
+    assert _kernel_y_start(cfg) == 3 and _kernel_y_start(cfg, force_exact=True) == 7001
+    cfg = SearchConfig(min_x=KERNEL_MAX_X, max_x=KERNEL_MAX_X + 1, exact_residual=8)
+    assert _kernel_y_start(cfg) == KERNEL_MAX_X + 2
 
 
 def test_pairs_below_y0_stay_in_the_window_loop():
@@ -487,8 +504,10 @@ def test_pairs_below_y0_stay_in_the_window_loop():
 
 
 def test_window_loop_takes_only_the_corner(monkeypatch):
-    # x < x0 = 3 and y < y0 = 3 for residual 8: the pairs (1, 1), (1, 2)
-    # and (2, 2); the kernel takes x = 1, 2 with every y from 3 on
+    # the window loop takes the pairs with y < y0, x from 1 to y0 - 1,
+    # and the kernel every y from y0 on: y0 = 3 for residual 8, the pairs
+    # (1, 1), (1, 2) and (2, 2); y0 = 18 for t = 300, although 2*x^4 > t^2
+    # from x0 = 15 on; y0 = 142 for t = 20000 (x0 = 119)
     seen = []
 
     def recording_window_loop(x, y_end, lo, hi):
@@ -500,6 +519,14 @@ def test_window_loop_takes_only_the_corner(monkeypatch):
     hits = scan(SearchConfig(max_x=7000, exact_residual=8))
     assert seen == [(1, 3), (2, 3)]
     assert {(1, 2, 3, 8), (22, 23, 717, 8), (1058, 1103, 1653213, 8)} <= set(hits)
+    for cfg, y0 in (
+        (SearchConfig(max_x=1200, threshold=300), 18),
+        (SearchConfig(max_x=400, threshold=20000), 142),
+    ):
+        seen.clear()
+        hits = scan(cfg)
+        assert seen == [(x, y0) for x in range(1, y0)]
+        assert hits == scan(cfg, force_exact=True)
 
 
 @pytest.mark.parametrize(
@@ -513,33 +540,31 @@ def test_window_loop_takes_only_the_corner(monkeypatch):
     ids=["threshold-300", "residual-1296"],
 )
 def test_rectangle_pairs_every_class(window, hit):
-    # x < x0 and y >= y0 over a range wider than 432: hits whose y class
-    # lies below their x class, which pairing class c with c' >= c only
-    # would miss
+    # x < y0 <= y over a range wider than 432: hits whose y class lies
+    # below their x class, which pairing class c with c' >= c only would
+    # miss
     cfg = SearchConfig(max_x=1200, **window)
-    x0 = _kernel_start(cfg)
-    y0 = _kernel_y_start(cfg, x0)
+    y0 = _kernel_y_start(cfg)
     hits = scan(cfg)
     assert hits == scan(cfg, force_exact=True)
     assert hit in hits
-    below = [h for h in hits if h.x < x0 <= y0 <= h.y and h.y % SIEVE_MODULUS < h.x]
+    below = [h for h in hits if h.x < y0 <= h.y and h.y % SIEVE_MODULUS < h.x]
     assert len(below) == {"threshold": 20, "exact_residual": 12}[next(iter(window))]
 
 
 @st.composite
 def corner_windows(draw):
-    """(min_x, max_x, window) over ranges that cross both x0 and y0:
-    t = max(-lo, hi) from k^2 to k^2 + 2k, where isqrt(t) = k, or the
-    nearest residual of a pair (x, y) with x < x0 and y past 432."""
+    """(min_x, max_x, window) over ranges that cross y0: t = max(-lo, hi)
+    from k^2 to k^2 + 2k, where isqrt(t) = k and y0 = k + 1, with min_x
+    below x0 or in the band [x0, y0) (x0 <= k for k >= 5), or the nearest
+    residual of a pair (x, y) with x < y0 and y past 432."""
     if draw(st.booleans()):
         k = draw(st.integers(1, 40))
         t = k * k + draw(st.integers(0, 2 * k))
         fields = draw(
             st.sampled_from([{"threshold": t}, {"exact_residual": t}, {"exact_residual": -t}])
         )
-        x0 = _kernel_min_x(t)
-        assume(x0 > 1)
-        min_x = draw(st.integers(1, x0 - 1))
+        min_x = draw(st.integers(1, k))
         max_x = draw(st.integers(k + 1, k + 1 + 2 * SIEVE_MODULUS))
         return min_x, max_x, fields
     x = draw(st.integers(1, 60))
@@ -547,7 +572,7 @@ def corner_windows(draw):
     s = x**4 + y**4
     r = math.isqrt(s)
     residual = draw(st.sampled_from([s - r * r, s - (r + 1) ** 2]))
-    assume(2 * x**4 <= residual**2 < y**4)  # x < x0 and y >= y0
+    assume(x**4 <= residual**2 < y**4)  # x < y0 <= y
     return draw(st.integers(1, x)), y + draw(st.integers(0, 30)), {"exact_residual": residual}
 
 
@@ -559,8 +584,7 @@ def test_corner_and_rectangle_match_exact(monkeypatch, in_process_pool, window):
     monkeypatch.setattr(search, "_cpus", lambda: 2)
     min_x, max_x, fields = window
     cfg = SearchConfig(min_x=min_x, max_x=max_x, **fields)
-    x0 = _kernel_start(cfg)
-    assert min_x < x0 <= _kernel_y_start(cfg, x0) <= max_x
+    assert min_x < _kernel_y_start(cfg) <= max_x
     expected = scan(cfg, force_exact=True)
     for workers in (1, 2):
         assert scan(replace(cfg, workers=workers)) == expected
@@ -596,7 +620,8 @@ def test_huge_threshold_window_is_refused():
 def test_extra_rows_bound_holds_and_admits_the_dense_workload():
     for max_x, threshold in ((60, 50), (40, 2000), (25, 30), (12, 10**5)):
         cfg = SearchConfig(max_x=max_x, threshold=threshold)
-        x0 = _kernel_start(cfg)  # the window loop takes the x below it
+        # only a pair with x < x0 can hit twice
+        x0 = min(_kernel_min_x(threshold), max_x + 1)
         window_rows = [h for h in scan(cfg, force_exact=True) if h.x < x0]
         window_pairs = sum(max_x - x + 1 for x in range(1, x0))
         assert len(window_rows) <= window_pairs + _extra_rows_bound(cfg)
