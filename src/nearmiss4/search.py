@@ -25,14 +25,14 @@ float estimate errs by well under one up to KERNEL_MAX_X.
 
 The kernel runs behind a congruence sieve.  A hit means s - v = z^2 for
 some v in lo..hi, so s - v is a square mod M = SIEVE_MODULUS = 432 =
-2^4 * 3^3, and the kernel evaluates only the pairs whose classes
-(x mod M, y mod M) allow that: 10.49% of them for an exact residual 8,
-all of them for a threshold of 9 or more.  The sieve drops only pairs
-that cannot hit, and every pair it keeps is still checked exactly.
-In the square, which is symmetric in x and y, each pair is taken once,
-under the smaller of its two classes: class c is paired with the
-admissible classes c' >= c.  In the rectangle every y exceeds every x,
-so c is paired with every admissible c'.  Either way the pairs run in
+2^4 * 3^3.  The sieve reads each x only through its class x^4 mod M,
+one of 20 values, and evaluates only the pairs whose class sum allows
+that: 10.49% of them for an exact residual 8, all of them for a
+threshold of 9 or more.  It drops only pairs that cannot hit, and every
+pair it keeps is still checked exactly.  In the square, which is
+symmetric in x and y, class g is paired with the classes g' >= g, and a
+pair of one class is kept only as x <= y; in the rectangle every y
+exceeds every x, so g is paired with every class.  The pairs run in
 blocks of at most SIEVE_BLOCK_PAIRS.
 
 The pure-Python window loop takes the band y < y0, where s may be at
@@ -43,11 +43,11 @@ Threshold configs for which the window loop could emit more than
 MAX_WINDOW_ROWS rows beyond one per pair are refused before anything
 runs.
 
-The x values of the window loop and of each kernel region are split
-into interleaved stripes, one process each, at most one per CPU this
-process may run on and one per x, and the merged rows are sorted by
-(y, x, z), so output is independent of the worker count.  Workers
-return plain tuples, which pickle several times faster than
+The x values of the window loop and of each class of each kernel region
+are split into interleaved stripes, one process each, at most one per
+CPU this process may run on and one per x, and the merged rows are
+sorted by (y, x, z), so output is independent of the worker count.
+Workers return plain tuples, which pickle several times faster than
 SearchHits; each merged row becomes a SearchHit once.
 """
 
@@ -87,11 +87,12 @@ MAX_WORKERS = 1024
 # classes cost more in per-block overhead than the pairs they drop.
 SIEVE_MODULUS = 432
 
-# Most pairs one kernel block evaluates, for every window; bounds the
-# memory of each block, which stays flat at any max_x.  It does not keep
-# a block within cache: a full block's int64 temporaries are 256 KB,
-# above glibc's mmap threshold, and 2^13 measured faster at max_x 20000.
-SIEVE_BLOCK_PAIRS = 2**15
+# Most pairs one kernel block evaluates; bounds each block's memory at
+# any max_x, and keeps its int64 temporaries (64 KB) below glibc's mmap
+# threshold.  Median scans, exact residual 8, one worker, 2 vCPUs, at
+# 2^13 / 2^14 / 2^15: max_x 7000 26 / 42 / 46 ms, max_x 20000 181-197 /
+# 245-250 / 260-329 ms, the window 51948..52967 1.3 / 1.9 / 2.0 ms.
+SIEVE_BLOCK_PAIRS = 2**13
 
 # Most rows a threshold may add to the window loop beyond one per pair,
 # as bounded by _extra_rows_bound.  Every row is held in memory until the
@@ -221,62 +222,61 @@ def _isqrt(s: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, d
 
 
-def _admissible(lo: int, hi: int) -> np.ndarray:
-    """M x M bool table, M = SIEVE_MODULUS: entry [a, b] is True iff
-    a^4 + b^4 - v is a square mod M for some v in lo..hi.  Symmetric in
-    a and b; all True for a threshold window (-t, t) with t >= 9."""
+def _reach(lo: int, hi: int) -> np.ndarray:
+    """Bool vector over w mod M, M = SIEVE_MODULUS: True iff w - v is a
+    square mod M for some v in lo..hi, as a pair with (x^4 + y^4) mod M =
+    w needs to hit; True at every such sum for a threshold t >= 9."""
     m = SIEVE_MODULUS
     k = np.arange(m, dtype=np.int64)
     is_square = np.zeros(m, dtype=bool)
     is_square[k * k % m] = True
     shifts = (lo % m + np.arange(min(hi - lo + 1, m))) % m  # the v mod M
-    reachable = np.zeros(m, dtype=bool)  # u with u - v a square mod M
-    reachable[(np.flatnonzero(is_square)[:, None] + shifts[None, :]) % m] = True
-    k4 = (k**4 % m).astype(np.int16)  # int16 keeps the M x M temporaries small
-    return reachable[(k4[:, None] + k4[None, :]) % m]
+    reach = np.zeros(m, dtype=bool)
+    reach[(np.flatnonzero(is_square)[:, None] + shifts[None, :]) % m] = True
+    return reach
 
 
 def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> list[_Row]:
     """Hits lo <= x^4 + y^4 - z^2 <= hi, for this worker's stripe of each
-    region's residues mod SIEVE_MODULUS, over every pair with y >= y0:
-    the square y0 <= x <= y <= max_x and the rectangle
-    min_x <= x < y0 <= y <= max_x.
+    class's x values, over every pair with y >= y0: the square
+    y0 <= x <= y <= max_x and the rectangle min_x <= x < y0 <= y <= max_x.
 
     Valid only when every such pair has s > t^2 for t = max(-lo, hi),
     so that its only possible hit is z = isqrt(s - lo), and the residual
     fits int64: y0^4 > t^2.
     """
     lo, hi = cfg.window
-    max_x = cfg.max_x
+    min_x, max_x = cfg.min_x, cfg.max_x
     m = SIEVE_MODULUS
-    table = _admissible(lo, hi)
+    reach = _reach(lo, hi)
     span = hi - lo
+    v = np.arange(min_x, max_x + 1, dtype=np.int64)
+    p4, f4 = _pow4(v)
+    u = (v % m) ** 4 % m  # the class of v: v^4 mod M, one of 20 values
+    yv, uy = v[y0 - min_x :], u[y0 - min_x :]
+    p4y = p4[y0 - min_x :] - lo  # y^4 - lo; this and the sums below wrap mod 2^64
+    f4y = f4[y0 - min_x :] - lo
     hits: list[tuple[np.ndarray, ...]] = []
-    periods = np.arange(y0 - y0 % m, max_x + 1, m, dtype=np.int64)
-    # (x range, square?); class c is paired with the classes c' >= c in
+    # (x range, square?); class g is paired with the classes g' >= g in
     # the square, which is symmetric, and with every class in the
     # rectangle, where every y exceeds every x
-    for x_lo, x_end, square in ((y0, max_x + 1, True), (cfg.min_x, y0, False)):
-        for x_first in range(x_lo + index, min(x_lo + m, x_end), stride):
-            xs = np.arange(x_first, x_end, m, dtype=np.int64)
-            c = x_first % m
-            first = c if square else 0
-            ys = (periods[:, None] + (np.flatnonzero(table[c, first:]) + first)).ravel()
-            ys = ys[(ys >= y0) & (ys <= max_x)]
-            if not ys.size:
+    for x_lo, x_end, square in ((y0, max_x + 1, True), (min_x, y0, False)):
+        ux = u[x_lo - min_x : x_end - min_x]
+        for g in np.flatnonzero(np.bincount(ux)):
+            at = x_lo - min_x + np.flatnonzero(ux == g)[index::stride]
+            pair = reach[(g + uy) % m] & (uy >= (g if square else 0))
+            if not (at.size and pair.any()):
                 continue
-            p4x, f4x = _pow4(xs)
-            p4y, f4y = _pow4(ys)
-            p4y -= lo  # y^4 - lo; this and the sums below wrap mod 2^64
-            f4y -= lo
+            xs, p4x, f4x = v[at], p4[at], f4[at]
+            ys, p4s, f4s = yv[pair], p4y[pair], f4y[pair]
             h = max(1, SIEVE_BLOCK_PAIRS // ys.size)
             w = SIEVE_BLOCK_PAIRS // h
             for i in range(0, xs.size, h):
                 for j in range(0, ys.size, w):
                     width = min(w, ys.size - j)
                     r, d = _isqrt(
-                        (p4x[i : i + h, None] + p4y[None, j : j + w]).ravel(),
-                        (f4x[i : i + h, None] + f4y[None, j : j + w]).ravel(),
+                        (p4x[i : i + h, None] + p4s[None, j : j + w]).ravel(),
+                        (f4x[i : i + h, None] + f4s[None, j : j + w]).ravel(),
                     )
                     k = np.flatnonzero(d <= span)  # d = s - lo - r^2 >= 0
                     if k.size:
@@ -286,7 +286,7 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> list[_R
     x, y, r, d = map(np.concatenate, zip(*hits))
     # a pair of two values of one class appears in that class's square
     # block twice, as (x, y) and as (y, x); rectangle rows have x < y
-    keep = (x <= y) | (x % m != y % m)
+    keep = (x <= y) | (u[x - min_x] != u[y - min_x])
     return list(
         zip(
             np.minimum(x, y)[keep].tolist(),

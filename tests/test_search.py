@@ -2,7 +2,10 @@
 
 import math
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,12 +23,12 @@ from nearmiss4.search import (
     SIEVE_MODULUS,
     SearchConfig,
     SearchHit,
-    _admissible,
     _extra_rows_bound,
     _isqrt,
     _kernel_min_x,
     _kernel_y_start,
     _pow4,
+    _reach,
     scan,
     verify_hit,
 )
@@ -380,6 +383,11 @@ def test_kernel_matches_exact_at_boundaries(pair, fraction):
 
 WINDOWS = [(r, r) for r in (8, 0, -7, 72, 2**50 + 3, -(2**40))] + [(-5, 5), (3, 9), (-50, 50)]
 
+# (x^4 + y^4) mod 432 for every residue pair (x mod 432, y mod 432): the
+# entry of _reach that the pair reads
+CLASSES = np.arange(SIEVE_MODULUS) ** 4 % SIEVE_MODULUS
+CLASS_SUMS = (CLASSES[:, None] + CLASSES[None, :]) % SIEVE_MODULUS
+
 
 @pytest.mark.parametrize(
     "lo, hi", WINDOWS, ids=[str(lo) if lo == hi else f"{lo}..{hi}" for lo, hi in WINDOWS]
@@ -391,15 +399,17 @@ def test_admissible_table_is_the_squares_mod_432(lo, hi):
         [any((a**4 + b**4 - v) % m in squares for v in range(lo, hi + 1)) for b in range(m)]
         for a in range(m)
     ]
-    assert m == 432
-    assert _admissible(lo, hi).tolist() == expected
+    assert m == 432 and len(set(CLASSES.tolist())) == 20
+    assert _reach(lo, hi)[CLASS_SUMS].tolist() == expected
 
 
 def test_admissible_share_for_the_family_residual():
-    assert _admissible(8, 8).sum() == 19584  # 10.49% of 432^2
-    assert not _admissible(100, 100).any()  # no kernel pair can have residual 100
-    # thresholds from 9 on admit every class pair
-    assert _admissible(-9, 9).all() and not _admissible(-8, 8).all()
+    assert _reach(8, 8)[CLASS_SUMS].sum() == 19584  # 10.49% of 432^2
+    assert not _reach(100, 100)[CLASS_SUMS].any()  # no kernel pair can have residual 100
+    # thresholds from 9 on admit every residue pair
+    assert not _reach(-8, 8)[CLASS_SUMS].all()
+    for t in (9, 10, 50, 216, 431, 10**6):
+        assert _reach(-t, t)[CLASS_SUMS].all()
 
 
 @st.composite
@@ -448,18 +458,84 @@ def test_sieve_matches_exact_across_periods(residual):
     assert scan(cfg) == scan(cfg, force_exact=True)
 
 
-def test_sieve_takes_a_same_class_pair_once():
-    # x and y share a class mod 432, so the kernel block of that class
-    # holds the pair both as (x, y) and as (y, x)
-    x, y = 1000, 1000 + SIEVE_MODULUS
-    z = math.isqrt(x**4 + y**4) + 1
-    residual = x**4 + y**4 - z * z
-    for window in ({"exact_residual": residual}, {"threshold": abs(residual)}):
-        cfg = SearchConfig(min_x=x, max_x=y, **window)
-        assert _kernel_y_start(cfg) == x  # the pair is in the kernel's square
-        hits = scan(cfg)
-        assert hits.count((x, y, z, residual)) == 1
-        assert hits == scan(cfg, force_exact=True)
+def test_sieve_takes_a_same_class_pair_once(monkeypatch, in_process_pool):
+    # x and y share a class, x^4 mod 432: y = x + 432 shares its residue
+    # too, y = 1160 = -1000 mod 432 does not.  The kernel block of that
+    # class holds the pair both as (x, y) and as (y, x), whichever stripe
+    # takes x and y
+    monkeypatch.setattr(search, "_cpus", lambda: 4)
+    x = 1000
+    for y in (x + SIEVE_MODULUS, 2160 - x):
+        assert x**4 % SIEVE_MODULUS == y**4 % SIEVE_MODULUS
+        s = x**4 + y**4
+        z = min(math.isqrt(s), math.isqrt(s) + 1, key=lambda z: abs(s - z * z))
+        residual = s - z * z
+        for window in ({"exact_residual": residual}, {"threshold": abs(residual)}):
+            cfg = SearchConfig(min_x=x, max_x=y, **window)
+            assert _kernel_y_start(cfg) == x  # the pair is in the kernel's square
+            expected = scan(cfg, force_exact=True)
+            for workers in (1, 2, 3):
+                hits = scan(replace(cfg, workers=workers))
+                assert hits.count((x, y, z, residual)) == 1
+                assert hits == expected
+
+
+@st.composite
+def kernel_windows(draw):
+    """(min_x, max_x, window) whose every pair is a kernel pair, y0 =
+    min_x, as on the scan-bigint windows: x near where s crosses 2^62,
+    2^63 and 2^64 or anywhere up to 10^7, 1 to 300 values of x, exact
+    residuals and thresholds up to 10^6, or the nearest residual of a
+    pair in the range, exact or as a threshold."""
+    centre = st.sampled_from(BOUNDARY_X[1:4]).flatmap(lambda c: st.integers(c - 300, c + 300))
+    min_x = draw(st.one_of(centre, st.integers(1001, 10**7)))
+    max_x = min_x + draw(st.integers(0, 299))
+    kind = draw(st.sampled_from(["residual", "threshold", "pair"]))
+    if kind == "residual":
+        return min_x, max_x, {"exact_residual": draw(st.integers(-(10**6), 10**6))}
+    if kind == "threshold":
+        return min_x, max_x, {"threshold": draw(st.integers(0, 10**6))}
+    x = draw(st.integers(min_x, max_x))
+    y = draw(st.integers(x, max_x))
+    s = x**4 + y**4
+    r = math.isqrt(s)
+    residual = draw(st.sampled_from([s - r * r, s - (r + 1) ** 2]))
+    assume(residual**2 < min_x**4)
+    return min_x, max_x, draw(
+        st.sampled_from([{"exact_residual": residual}, {"threshold": abs(residual)}])
+    )
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(kernel_windows())
+def test_kernel_windows_match_exact(monkeypatch, in_process_pool, window):
+    monkeypatch.setattr(search, "_cpus", lambda: 4)
+    min_x, max_x, fields = window
+    cfg = SearchConfig(min_x=min_x, max_x=max_x, **fields)
+    assert _kernel_y_start(cfg) == min_x  # no pair is left to the window loop
+    expected = scan(cfg, force_exact=True)
+    for workers in (1, 2, 3):
+        assert scan(replace(cfg, workers=workers)) == expected
+
+
+def test_scan_imports_no_module():
+    # a module the kernel imports on first use is paid for again in every
+    # fresh pool worker: the first np.unique call imports numpy.ma
+    code = (
+        "import sys\n"
+        "from nearmiss4 import search\n"
+        "before = set(sys.modules)\n"
+        "search.scan(search.SearchConfig(max_x=1200, threshold=300))\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(search.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_threshold_zero_is_sieved_as_residual_zero():
@@ -471,7 +547,7 @@ def test_force_exact_runs_no_sieve(monkeypatch):
     def no_sieve(*args):
         raise AssertionError("force_exact reached the kernel")
 
-    monkeypatch.setattr(search, "_admissible", no_sieve)
+    monkeypatch.setattr(search, "_reach", no_sieve)
     monkeypatch.setattr(search, "_scan_kernel", no_sieve)
     cfg = SearchConfig(max_x=40, exact_residual=8)
     assert scan(cfg, force_exact=True) == naive_scan(1, 40, exact_residual=8)
@@ -530,26 +606,29 @@ def test_window_loop_takes_only_the_corner(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "window, hit",
+    "window, hit, below",
     [
-        # y = 432 is class 0, below the class of every x
-        ({"threshold": 300}, (1, 432, 186624, 1)),
-        # (6, y, y^2, 6^4) hits for every y
-        ({"exact_residual": 1296}, (6, 6 * 80, 36 * 80**2, 1296)),
+        # y = 432 is class 0, below the class 1 of x = 1
+        ({"threshold": 300}, (1, 432, 186624, 1), 1773),
+        # (6, y, y^2, 6^4) hits for every y; x = 6 has class 0, the least
+        ({"exact_residual": 1296}, (6, 6 * 80, 36 * 80**2, 1296), 0),
+        # (1, y, y^2, 1) hits for every y, and the 200 y divisible by 6
+        # have class 0
+        ({"exact_residual": 1}, (1, 432, 186624, 1), 200),
     ],
-    ids=["threshold-300", "residual-1296"],
+    ids=["threshold-300", "residual-1296", "residual-1"],
 )
-def test_rectangle_pairs_every_class(window, hit):
-    # x < y0 <= y over a range wider than 432: hits whose y class lies
-    # below their x class, which pairing class c with c' >= c only would
-    # miss
+def test_rectangle_pairs_every_class(window, hit, below):
+    # x < y0 <= y over a range wider than 432: hits whose y class,
+    # y^4 mod 432, lies below their x class, which pairing class g with
+    # g' >= g only would miss
     cfg = SearchConfig(max_x=1200, **window)
     y0 = _kernel_y_start(cfg)
     hits = scan(cfg)
     assert hits == scan(cfg, force_exact=True)
     assert hit in hits
-    below = [h for h in hits if h.x < y0 <= h.y and h.y % SIEVE_MODULUS < h.x]
-    assert len(below) == {"threshold": 20, "exact_residual": 12}[next(iter(window))]
+    m = SIEVE_MODULUS
+    assert sum(h.x < y0 <= h.y and h.y**4 % m < h.x**4 % m for h in hits) == below
 
 
 @st.composite
