@@ -94,8 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=1,
-        help="run at most WORKERS processes, at most one per CPU and one per x in the "
-        f"range; above {search.MAX_WORKERS} is a usage error",
+        help="run at most WORKERS processes, at most one per CPU, one per x in the "
+        f"range and one per {search.MIN_STRIPE_PAIRS:,} pairs of estimated work, so a "
+        "small scan runs in one process whatever WORKERS is; above "
+        f"{search.MAX_WORKERS} is a usage error",
     )
     scan.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
 

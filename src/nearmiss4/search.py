@@ -45,7 +45,9 @@ runs.
 
 The x values of the window loop and of each class of each kernel region
 are split into interleaved stripes, one process each, at most one per
-CPU this process may run on and one per x, and the merged rows are
+CPU this process may run on, one per x and one per MIN_STRIPE_PAIRS of
+estimated work, so a scan too small to repay a process start runs in
+the calling process whatever the worker count.  The merged rows are
 sorted by (y, x, z), so output is independent of the worker count.
 Workers return plain tuples, which pickle several times faster than
 SearchHits; each merged row becomes a SearchHit once.
@@ -93,6 +95,21 @@ SIEVE_MODULUS = 432
 # 2^13 / 2^14 / 2^15: max_x 7000 26 / 42 / 46 ms, max_x 20000 181-197 /
 # 245-250 / 260-329 ms, the window 51948..52967 1.3 / 1.9 / 2.0 ms.
 SIEVE_BLOCK_PAIRS = 2**13
+
+# Least estimated work, in kept kernel pairs, that earns a scan a
+# process of its own: a scan runs at most one stripe per this many.  On
+# 2 vCPUs two processes tie with one at about 5M kept pairs, the cost of
+# a pool start (a kept pair takes 8-10 ns; exact residual 8, one scan
+# per fresh process, medians of 7, 1 / 2 workers: max_x 8000, 3.4M
+# kept, 35 / 45 ms; 10000, 5.2M, 55 / 58 ms; 12000, 7.6M, 84 / 72 ms),
+# so two processes first run at 2^22 kept pairs.
+MIN_STRIPE_PAIRS = 2**21
+
+# Cost of one window-loop pair in kept kernel pairs: a band pair took
+# 670-1520 ns against 8-10 ns per kept kernel pair (median of 5, one
+# process, 2 vCPUs; exact residual 1000003 to max_x 5000, thresholds
+# 1000 to 100000 to max_x 300-3000).
+BAND_PAIR_WEIGHT = 100
 
 # Most rows a threshold may add to the window loop beyond one per pair,
 # as bounded by _extra_rows_bound.  Every row is held in memory until the
@@ -314,11 +331,37 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def processes(cfg: SearchConfig) -> int:
-    """Processes a scan of cfg runs, one stripe each: at most cfg.workers,
-    one per CPU this process may run on and one per x in the range; 1 runs
-    in the calling process."""
-    return min(cfg.workers, _cpus(), cfg.max_x - cfg.min_x + 1)
+def _kept_residue_pairs(lo: int, hi: int) -> int:
+    """Residue pairs (a, b) mod M, of all M^2, M = SIEVE_MODULUS, that the
+    sieve keeps for the window lo..hi: 19584 for an exact residual 8, M^2
+    for a threshold t >= 9.  Counted over the 20 classes x^4 mod M."""
+    m = SIEVE_MODULUS
+    freq = np.bincount(np.arange(m) ** 4 % m, minlength=m)
+    g = np.flatnonzero(freq)
+    return int(freq[g] @ _reach(lo, hi)[(g[:, None] + g) % m] @ freq[g])
+
+
+def _work(cfg: SearchConfig, force_exact: bool = False) -> int:
+    """Estimated cost of a scan of cfg in kept kernel pairs: the kernel's
+    pairs (y >= y0) times the share the sieve keeps, rounded up, plus
+    BAND_PAIR_WEIGHT per window-loop pair (y < y0)."""
+    m = SIEVE_MODULUS
+    y0 = _kernel_y_start(cfg, force_exact)
+    n = cfg.max_x - cfg.min_x + 1
+    band = (y0 - cfg.min_x) * (y0 - cfg.min_x + 1) // 2
+    kernel = n * (n + 1) // 2 - band
+    return -(-kernel * _kept_residue_pairs(*cfg.window) // m**2) + BAND_PAIR_WEIGHT * band
+
+
+def processes(cfg: SearchConfig, force_exact: bool = False) -> int:
+    """Processes scan(cfg, force_exact) runs, one stripe each: at most
+    cfg.workers, one per CPU this process may run on, one per x in the
+    range and one per MIN_STRIPE_PAIRS of _work; 1 runs in the calling
+    process.  So a small scan runs in one process whatever cfg.workers is."""
+    n = min(cfg.workers, _cpus(), cfg.max_x - cfg.min_x + 1)
+    if n > 1:
+        n = min(n, max(1, _work(cfg, force_exact) // MIN_STRIPE_PAIRS))
+    return n
 
 
 def scan(cfg: SearchConfig, force_exact: bool = False) -> list[SearchHit]:
@@ -327,7 +370,7 @@ def scan(cfg: SearchConfig, force_exact: bool = False) -> list[SearchHit]:
     force_exact switches off the vectorized kernel; results are identical
     either way (asserted by the test suite on overlap ranges).
     """
-    stripes = processes(cfg)
+    stripes = processes(cfg, force_exact)
     y0 = _kernel_y_start(cfg, force_exact)
     if stripes == 1:
         rows = _scan_stripe(cfg, 0, 1, y0)

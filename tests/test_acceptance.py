@@ -144,7 +144,7 @@ def test_criterion_7_no_exact_solutions():
         assert scan(SearchConfig(max_x=2000, exact_residual=0)) == []
 
 
-def test_criterion_8_worker_determinism():
+def test_criterion_8_worker_determinism(pool_at_any_size):
     with criterion(8, "search output byte-identical for workers 1, 2, 8 at max_x 5000"):
         # the threshold window and the exact residual run the same class-blocked kernel
         for window in ({"threshold": 8}, {"exact_residual": 8}):

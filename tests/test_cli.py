@@ -511,7 +511,7 @@ def test_closed_pipe_exits_141_without_traceback(argv):
         (["--min-x", "5", "--max-x", "5", "--workers", "64"], 1),
     ],
 )
-def test_search_reports_the_processes_it_ran(capsys, monkeypatch, argv, ran):
+def test_search_reports_the_processes_it_ran(capsys, monkeypatch, pool_at_any_size, argv, ran):
     monkeypatch.setattr(search, "_cpus", lambda: 2)
     started = []
     real_pool = search.Pool
@@ -526,6 +526,20 @@ def test_search_reports_the_processes_it_ran(capsys, monkeypatch, argv, ran):
     assert f" with {ran} worker(s): " in err
     assert started == ([ran] if ran > 1 else [])  # one process runs in-process
     assert out == run(capsys, "search", *argv[:-2])[1]  # as with --workers 1
+
+
+def test_search_below_the_work_cap_runs_in_process(capsys, monkeypatch):
+    # about 472,000 kept pairs, under one MIN_STRIPE_PAIRS: eight CPUs and
+    # eight workers still run one process
+    monkeypatch.setattr(search, "_cpus", lambda: 8)
+    started = []
+    monkeypatch.setattr(search, "Pool", started.append)
+    argv = ["search", "--max-x", "3000", "--exact-residual", "8"]
+    code, out, err = run(capsys, *argv, "--workers", "8")
+    assert code == 0
+    assert " with 1 worker(s): " in err
+    assert started == []
+    assert out == run(capsys, *argv)[1]
 
 
 def test_search_workers_flag(capsys):

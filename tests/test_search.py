@@ -82,7 +82,7 @@ def in_process_pool(monkeypatch):
     return started
 
 
-def test_pool_size_never_exceeds_x_range(monkeypatch, in_process_pool):
+def test_pool_size_never_exceeds_x_range(monkeypatch, in_process_pool, pool_at_any_size):
     monkeypatch.setattr(search, "_cpus", lambda: 4096)
     for cfg, size in (
         (SearchConfig(max_x=4, min_x=2, workers=8), 3),
@@ -164,7 +164,7 @@ def test_minimal_delta_always_emitted():
                 assert min(by_pair[(x, y)]) == best
 
 
-def test_worker_count_does_not_change_output(monkeypatch):
+def test_worker_count_does_not_change_output(monkeypatch, pool_at_any_size):
     # enough CPUs that every worker count below is a stride of its own
     monkeypatch.setattr(search, "_cpus", lambda: 64)
     base = scan(SearchConfig(max_x=120, threshold=10, workers=1))
@@ -180,7 +180,7 @@ def test_worker_count_does_not_change_output(monkeypatch):
             assert scan(cfg) == base
 
 
-def test_processes_are_capped_at_the_cpu_count(monkeypatch, in_process_pool):
+def test_processes_are_capped_at_the_cpu_count(monkeypatch, in_process_pool, pool_at_any_size):
     # 8 workers on 2 CPUs run 2 stripes of stride 2, one process each
     base = scan(SearchConfig(max_x=1200, threshold=300))
     monkeypatch.setattr(search, "_cpus", lambda: 2)
@@ -199,19 +199,20 @@ def test_processes_are_capped_at_the_cpu_count(monkeypatch, in_process_pool):
 
 def test_cpus_are_those_this_process_may_run_on(monkeypatch):
     # pinned to one of eight CPUs (as under `taskset -c 0`), a scan runs
-    # in one process
+    # in one process, though its work would earn it eight
     monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert search._cpus() == 1
-    assert search.processes(SearchConfig(max_x=7000, exact_residual=8, workers=8)) == 1
+    assert search.processes(SearchConfig(max_x=20000, exact_residual=8, workers=8)) == 1
     # without an affinity mask, every CPU counts, and an unknown count is 1
     monkeypatch.delattr(search.os, "sched_getaffinity")
     assert search._cpus() == 8
+    assert search.processes(SearchConfig(max_x=20000, exact_residual=8, workers=8)) == 8
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
     assert search._cpus() == 1
 
 
-def test_scan_leaves_no_process_behind(monkeypatch):
+def test_scan_leaves_no_process_behind(monkeypatch, pool_at_any_size):
     monkeypatch.setattr(search, "_cpus", lambda: 2)
     cfg = SearchConfig(max_x=1200, exact_residual=8, workers=2)
     assert (1058, 1103, 1653213, 8) in scan(cfg)
@@ -410,6 +411,62 @@ def test_admissible_share_for_the_family_residual():
     assert not _reach(-8, 8)[CLASS_SUMS].all()
     for t in (9, 10, 50, 216, 431, 10**6):
         assert _reach(-t, t)[CLASS_SUMS].all()
+    # the share the process count reads, from the 20 classes, is the same
+    # count over all 432^2 residue pairs
+    for lo, hi in [(8, 8), (100, 100), (-8, 8)] + [(-t, t) for t in (9, 10, 50, 216, 431, 10**6)]:
+        assert search._kept_residue_pairs(lo, hi) == _reach(lo, hi)[CLASS_SUMS].sum()
+
+
+def test_processes_follow_the_kept_work(monkeypatch):
+    monkeypatch.setattr(search, "_cpus", lambda: 8)
+    # the same 6,126,750 pairs: a threshold of 9 keeps every one, an exact
+    # residual 8 about 10.49% of them
+    t9 = SearchConfig(max_x=3500, threshold=9, workers=8)
+    r8 = SearchConfig(max_x=3500, exact_residual=8, workers=8)
+    assert (search.processes(t9), search.processes(r8)) == (2, 1)
+    # band pairs weigh BAND_PAIR_WEIGHT each: residual 1000003 leaves the
+    # kernel nothing, and 500,500 pairs to the window loop
+    band = SearchConfig(max_x=5000, exact_residual=1000003, workers=8)
+    assert search._kept_residue_pairs(*band.window) == 0
+    assert search._work(band) == 500500 * search.BAND_PAIR_WEIGHT
+    assert search.processes(band) == 8
+    # so does every pair of a forced window-loop scan
+    small = SearchConfig(max_x=1500, exact_residual=8, workers=8)
+    assert (search.processes(small), search.processes(small, force_exact=True)) == (1, 8)
+    # the benchmark's scans run in one process; a larger scan still pools
+    for cfg, ran in (
+        (SearchConfig(max_x=7000, exact_residual=8, workers=2), 1),
+        (SearchConfig(min_x=51948, max_x=52967, exact_residual=8, workers=2), 1),
+        (SearchConfig(max_x=400, threshold=20000, workers=2), 1),
+        (SearchConfig(max_x=10000, exact_residual=8, workers=2), 2),
+        (SearchConfig(max_x=20000, exact_residual=8, workers=8), 8),
+    ):
+        assert search.processes(cfg) == ran
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    min_x=st.one_of(st.integers(1, 3000), st.integers(1, 2 * KERNEL_MAX_X)),
+    width=st.one_of(st.integers(0, 50), st.integers(0, 20000)),
+    window=st.one_of(
+        st.builds(lambda t: {"threshold": t}, st.integers(0, 5000)),
+        st.builds(lambda r: {"exact_residual": r}, st.integers(-(10**7), 10**7)),
+    ),
+    workers=st.integers(1, MAX_WORKERS),
+    cpus=st.integers(1, 256),
+    force_exact=st.booleans(),
+)
+def test_processes_stay_within_their_caps(
+    monkeypatch, min_x, width, window, workers, cpus, force_exact
+):
+    try:
+        cfg = SearchConfig(min_x=min_x, max_x=min_x + width, workers=workers, **window)
+    except ValueError:  # a threshold window refused for its rows
+        assume(False)
+    monkeypatch.setattr(search, "_cpus", lambda: cpus)
+    assert 1 <= search.processes(cfg, force_exact) <= min(workers, cpus, width + 1)
 
 
 @st.composite
@@ -458,7 +515,7 @@ def test_sieve_matches_exact_across_periods(residual):
     assert scan(cfg) == scan(cfg, force_exact=True)
 
 
-def test_sieve_takes_a_same_class_pair_once(monkeypatch, in_process_pool):
+def test_sieve_takes_a_same_class_pair_once(monkeypatch, in_process_pool, pool_at_any_size):
     # x and y share a class, x^4 mod 432: y = x + 432 shares its residue
     # too, y = 1160 = -1000 mod 432 does not.  The kernel block of that
     # class holds the pair both as (x, y) and as (y, x), whichever stripe
@@ -510,7 +567,7 @@ def kernel_windows(draw):
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(kernel_windows())
-def test_kernel_windows_match_exact(monkeypatch, in_process_pool, window):
+def test_kernel_windows_match_exact(monkeypatch, in_process_pool, pool_at_any_size, window):
     monkeypatch.setattr(search, "_cpus", lambda: 4)
     min_x, max_x, fields = window
     cfg = SearchConfig(min_x=min_x, max_x=max_x, **fields)
@@ -659,7 +716,7 @@ def corner_windows(draw):
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(corner_windows())
-def test_corner_and_rectangle_match_exact(monkeypatch, in_process_pool, window):
+def test_corner_and_rectangle_match_exact(monkeypatch, in_process_pool, pool_at_any_size, window):
     monkeypatch.setattr(search, "_cpus", lambda: 2)
     min_x, max_x, fields = window
     cfg = SearchConfig(min_x=min_x, max_x=max_x, **fields)
@@ -669,7 +726,7 @@ def test_corner_and_rectangle_match_exact(monkeypatch, in_process_pool, window):
         assert scan(replace(cfg, workers=workers)) == expected
 
 
-def test_rows_of_a_pair_stay_in_z_order(monkeypatch, in_process_pool):
+def test_rows_of_a_pair_stay_in_z_order(monkeypatch, in_process_pool, pool_at_any_size):
     # small pairs have many z each; every stripe count must merge them
     # into (y, x, z) order
     monkeypatch.setattr(search, "_cpus", lambda: 4)
