@@ -10,6 +10,8 @@ the TSV with the same field names; every field, n included, is a JSON
 string so no consumer is tempted to round them.  gen and search write
 their rows in batches, one write per batch; a gen that stops at the
 int -> str digit limit has already printed every earlier row whole.
+search renders int64 columns a chunk of rows at a time, with numpy,
+into the same bytes the per-row template gives.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import sys
 import time
 from itertools import islice
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import identities, search, sequences
 
@@ -38,6 +42,26 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process it killed
 # silently truncated, and so did any one-batch output over the 64 KB
 # pipe buffer, such as `gen --count 200`.
 _BATCH_ROWS = 256
+
+# Rows per stdout write of int64 columns, which _render_columns turns
+# into text a chunk at a time.  2^11 to 2^14 rows ran alike on
+# `search --threshold 20000 --max-x 400`, and a chunk's uint8 matrix
+# stays at a few hundred KB.
+_CHUNK_ROWS = 2**12
+
+
+def _digit_groups() -> np.ndarray:
+    """Four ASCII digits per uint32.  Entry k < 10^4 is k with its leading
+    zeros ("0042"), entry 10^4 + k is k with them as 0 bytes, so that
+    entry 10^4 is "0" alone."""
+    k = np.arange(10**4)
+    digits = k[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    shown = np.arange(4) >= 3 - np.searchsorted([10, 100, 1000], k, side="right")[:, None]
+    groups = np.concatenate([digits, digits * shown]).astype(np.uint8)
+    return groups.view(np.uint32).ravel()
+
+
+_DIGIT_GROUPS = _digit_groups()
 
 
 def _positive_int(text: str) -> int:
@@ -104,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str) -> None:
-    """Write text to stdout whole, or raise BrokenPipeError.
+def _write(text: str | bytes) -> None:
+    """Write text, or ASCII bytes, to stdout whole, or raise BrokenPipeError.
 
     A pipe write that the reader's close cuts short returns a partial
     count and raises nothing, and sys.stdout.write drops the rest.  Only
@@ -114,23 +138,27 @@ def _write(text: str) -> None:
     """
     out = getattr(sys.stdout, "buffer", None)
     if out is None:  # a text-only stream, such as io.StringIO
-        sys.stdout.write(text)
+        sys.stdout.write(text if isinstance(text, str) else text.decode("ascii"))
         return
     sys.stdout.flush()  # text written before stays before
-    data = memoryview(text.encode(sys.stdout.encoding))
+    data = memoryview(text.encode(sys.stdout.encoding) if isinstance(text, str) else text)
     written = 0
     while written < len(data):
         written += out.write(data[written:])
 
 
-def _emit_rows(fmt: str, names: tuple[str, ...], rows: Iterable[tuple[int, ...]]) -> None:
+def _template(fmt: str, names: tuple[str, ...]) -> str:
+    """The %-template of one row: a %s per field, in the order of names."""
     if fmt == "tsv":
-        template = "\t".join(["%s"] * len(names)) + "\n"
-    else:
-        # the bytes of json.dumps(..., separators=(",", ":")) on the row's
-        # strs: keys are field names and values decimal digits, so nothing
-        # needs escaping
-        template = "{" + ",".join(f'"{name}":"%s"' for name in names) + "}\n"
+        return "\t".join(["%s"] * len(names)) + "\n"
+    # the bytes of json.dumps(..., separators=(",", ":")) on the row's
+    # strs: keys are field names and values decimal digits, so nothing
+    # needs escaping
+    return "{" + ",".join(f'"{name}":"%s"' for name in names) + "}\n"
+
+
+def _emit_rows(fmt: str, names: tuple[str, ...], rows: Iterable[tuple[int, ...]]) -> None:
+    template = _template(fmt, names)
     rows = iter(rows)
     while True:
         lines: list[str] = []
@@ -143,6 +171,49 @@ def _emit_rows(fmt: str, names: tuple[str, ...], rows: Iterable[tuple[int, ...]]
             _write("".join(lines))
         if len(lines) < _BATCH_ROWS:
             return
+
+
+def _digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The decimal text of each int64 of v, one row per value: a column
+    of signs ("-" or a 0 byte) and a uint8 matrix of digits, right-aligned
+    to the widest, with 0 bytes on the left."""
+    negative = v < 0
+    magnitude = v.astype(np.uint64)
+    # negated mod 2^64: |v|, also for -2^63, where np.abs wraps
+    magnitude[negative] = 0 - magnitude[negative]
+    groups = []  # four digits each, the lowest first
+    while True:
+        high, low = np.divmod(magnitude, 10**4)
+        # below a non-zero high part a group shows all four digits; the
+        # top group drops its leading zeros, and a group above it all
+        group = _DIGIT_GROUPS[low + (high == 0) * np.uint64(10**4)]
+        if groups:
+            group *= magnitude != 0
+        groups.append(group)
+        if not high.any():
+            break
+        magnitude = high
+    signs = (negative * np.uint8(ord("-")))[:, None]
+    return signs, np.stack(groups[::-1], axis=1).view(np.uint8)
+
+
+def _render_columns(template: str, columns: Sequence[np.ndarray]) -> bytes:
+    """The bytes of template % row for every row of the int64 columns: the
+    template's literal pieces and each column's signs and digits side by
+    side in one uint8 matrix, read row by row without its 0 bytes."""
+    pieces = [np.frombuffer(p.encode("ascii"), dtype=np.uint8) for p in template.split("%s")]
+    rows = len(columns[0])
+    parts = [np.broadcast_to(pieces[0], (rows, pieces[0].size))]
+    for column, piece in zip(columns, pieces[1:]):
+        parts += [*_digits(column), np.broadcast_to(piece, (rows, piece.size))]
+    text = np.concatenate(parts, axis=1)
+    return text[text != 0].tobytes()
+
+
+def _emit_columns(fmt: str, names: tuple[str, ...], columns: Sequence[np.ndarray]) -> None:
+    template = _template(fmt, names)
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        _write(_render_columns(template, [c[start : start + _CHUNK_ROWS] for c in columns]))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -240,7 +311,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     hits = search.scan(cfg)
     elapsed = time.perf_counter() - start
-    _emit_rows(args.format, search.SearchHit._fields, hits)
+    if all(c.dtype == np.int64 for c in hits.columns):
+        _emit_columns(args.format, search.SearchHit._fields, hits.columns)
+    else:  # a value past int64, from the window loop
+        _emit_rows(args.format, search.SearchHit._fields, hits)
     print(
         f"scanned x in {cfg.min_x}..{cfg.max_x} with {search.processes(cfg)} worker(s): "
         f"{len(hits)} hit(s) in {elapsed:.2f}s",

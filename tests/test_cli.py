@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import pickle
 import sys
@@ -10,8 +11,10 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import search_corpus
 from nearmiss4 import cli, exactmath, identities, search, sequences
 
 FIXTURE = Path(__file__).parent / "data" / "search_oracle_max60_t50.tsv"
@@ -123,6 +126,78 @@ def test_rows_reach_a_text_only_stdout(monkeypatch):
     monkeypatch.setattr(sys, "stdout", out)
     assert cli.main(["gen", "--count", "4"]) == 0
     assert out.getvalue() == PAPER_TSV
+
+
+def test_search_rows_reach_a_text_only_stdout(monkeypatch):
+    import io
+
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    assert cli.main(["search", "--max-x", "60", "--threshold", "50"]) == 0
+    assert out.getvalue() == FIXTURE.read_text()
+
+
+# 0, +-1, -2^63 (where np.abs wraps), 2^63 - 1, and +-(10^k - 1) and
+# +-10^k, where the digit count steps
+EDGE_VALUES = [0, 1, -1, -(2**63), 2**63 - 1] + [
+    v for k in range(1, 19) for v in (10**k - 1, 10**k, 1 - 10**k, -(10**k))
+]
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+def test_columns_render_as_the_row_template(fmt):
+    v = np.array(EDGE_VALUES, dtype=np.int64)
+    template = cli._template(fmt, search.SearchHit._fields)
+    for columns in (
+        [v, v[::-1].copy(), np.roll(v, 3), np.roll(v, 7)],
+        [v[:1], v[:1], v[-1:], v[3:4]],
+    ):
+        rows = zip(*(c.tolist() for c in columns))
+        expected = "".join(template % row for row in rows).encode()
+        assert cli._render_columns(template, columns) == expected
+    for value in EDGE_VALUES:  # each value alone sets the width of its column
+        one = np.array([value], dtype=np.int64)
+        expected = (template % (value, 0, value, value)).encode()
+        assert cli._render_columns(template, [one, one * 0, one, one]) == expected
+
+
+def test_search_prints_columns_a_chunk_at_a_time(capsys, monkeypatch):
+    # int64 columns go through the renderer, one write per chunk; a value
+    # past int64 keeps the per-row template
+    writes = []
+    write = cli._write
+    monkeypatch.setattr(cli, "_write", lambda text: writes.append(text) or write(text))
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 100)
+    code, out, _ = run(capsys, "search", "--max-x", "60", "--threshold", "50")
+    assert code == 0 and out == FIXTURE.read_text()
+    assert [len(w.splitlines()) for w in writes] == [100, 100, 55]
+    assert all(type(w) is bytes for w in writes)
+    writes.clear()
+    x, r = search_corpus.BIG_X, search_corpus.BIG_R
+    argv = ["search", "--min-x", str(x), "--max-x", str(x), "--exact-residual", str(r)]
+    code, out, _ = run(capsys, *argv)
+    z = math.isqrt(2 * x**4)
+    assert code == 0 and out == f"{x}\t{x}\t{z}\t{r}\n" and z > 2**63 and r > 2**63
+    assert [type(w) for w in writes] == [str]
+
+
+def test_search_matches_the_corpus_byte_for_byte(capsys):
+    # stdout sha256 and length and exit code of every argv recorded by
+    # tests/search_corpus.py, replayed in-process
+    corpus = json.loads(search_corpus.CORPUS.read_text())
+    assert list(corpus) == [search_corpus.key(argv) for argv in search_corpus.ARGVS]
+    changed = []
+    for key, ref in corpus.items():
+        code, out, _ = run(capsys, *key.split())
+        data = out.encode()
+        if (hashlib.sha256(data).hexdigest(), len(data), code) != (
+            ref["sha256"],
+            ref["bytes"],
+            ref["exit"],
+        ):
+            changed.append(key)
+    assert changed == []
 
 
 def test_gen_zero_count_is_usage_error(capsys):
@@ -483,6 +558,7 @@ def test_console_script_end_to_end():
         ["gen", "--count", "1000"],
         ["search", "--max-x", "400", "--threshold", "20000", "--workers", "2"],
         ["gen", "--count", "256"],  # one write batch of 223 KB
+        ["search", "--max-x", "400", "--threshold", "20000", "--format", "jsonl"],
     ],
 )
 def test_closed_pipe_exits_141_without_traceback(argv):

@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+from collections.abc import Sequence
 import os
 import random
 import subprocess
@@ -17,10 +18,12 @@ from hypothesis import strategies as st
 from oracle import as_tsv, naive_scan
 from nearmiss4 import search
 from nearmiss4.search import (
+    INTERVAL_MAX_T,
     KERNEL_MAX_X,
     MAX_WINDOW_ROWS,
     MAX_WORKERS,
     SIEVE_MODULUS,
+    Hits,
     SearchConfig,
     SearchHit,
     _extra_rows_bound,
@@ -258,12 +261,26 @@ def test_large_threshold_stays_in_kernel(monkeypatch):
     assert expected and scan(cfg) == expected
 
 
+def recording_band(monkeypatch):
+    """Records each call of search._scan_band as (y0, index, stride, rows)."""
+    calls = []
+    band = search._scan_band
+
+    def recording(cfg, y0, index, stride):
+        columns = band(cfg, y0, index, stride)
+        calls.append((y0, index, stride, list(zip(*(c.tolist() for c in columns)))))
+        return columns
+
+    monkeypatch.setattr(search, "_scan_band", recording)
+    return calls
+
+
 def test_tightest_kernel_pairs(monkeypatch):
     # t = k^2 + 2k has y0 = k + 1 and y0^4 - t^2 = 2*y0^2 - 1, the least
     # room a kernel pair can have (t = 255: y0 = 16), and (1, 16) hits at
     # z = isqrt(s + t) = 256.  The pairs with 2*x^4 = t^2 + 1, (x, t) =
-    # (1, 1) and (13, 239) (Ljunggren 1942), have y < y0, so the window
-    # loop finds their hit z = t
+    # (1, 1) and (13, 239) (Ljunggren 1942), have y < y0, so the band
+    # finds their hit z = t
     assert 16**4 - 255**2 == 2 * 16**2 - 1
     cases = [
         (SearchConfig(max_x=40, threshold=255), 16, SearchHit(1, 16, 256, 1), False),
@@ -271,21 +288,13 @@ def test_tightest_kernel_pairs(monkeypatch):
         (SearchConfig(max_x=5, threshold=1), 2, SearchHit(1, 1, 1, 1), True),
     ]
     expected = [scan(cfg, force_exact=True) for cfg, *_ in cases]
-    calls = []
-
-    def recording_window_loop(x, y_end, lo, hi):
-        rows = window_loop(x, y_end, lo, hi)
-        calls.append((y_end, rows))
-        return rows
-
-    window_loop = search._scan_x_exact
-    monkeypatch.setattr(search, "_scan_x_exact", recording_window_loop)
-    for (cfg, y0, hit, in_window_loop), exact in zip(cases, expected):
+    calls = recording_band(monkeypatch)
+    for (cfg, y0, hit, in_band), exact in zip(cases, expected):
         calls.clear()
         hits = scan(cfg)
-        assert _kernel_y_start(cfg) == y0 and {y_end for y_end, _ in calls} == {y0}
+        assert _kernel_y_start(cfg) == y0 and {call[0] for call in calls} == {y0}
         assert hit in hits and hits == exact
-        assert (hit in [row for _, rows in calls for row in rows]) == in_window_loop
+        assert (hit in [row for *_, rows in calls for row in rows]) == in_band
 
 
 def test_family_member_two_found():
@@ -424,12 +433,19 @@ def test_processes_follow_the_kept_work(monkeypatch):
     t9 = SearchConfig(max_x=3500, threshold=9, workers=8)
     r8 = SearchConfig(max_x=3500, exact_residual=8, workers=8)
     assert (search.processes(t9), search.processes(r8)) == (2, 1)
-    # band pairs weigh BAND_PAIR_WEIGHT each: residual 1000003 leaves the
-    # kernel nothing, and 500,500 pairs to the window loop
+    # residual 1000003 leaves the kernel nothing, and 500,500 pairs to the
+    # band: at INTERVAL_PAIR_WEIGHT each in the z-interval, too little
+    # for a pool, and at BAND_PAIR_WEIGHT each in the window loop, which
+    # takes all 12,502,500 pairs under force_exact
     band = SearchConfig(max_x=5000, exact_residual=1000003, workers=8)
     assert search._kept_residue_pairs(*band.window) == 0
-    assert search._work(band) == 500500 * search.BAND_PAIR_WEIGHT
-    assert search.processes(band) == 8
+    assert search._work(band) == 500500 * search.INTERVAL_PAIR_WEIGHT
+    assert search.processes(band) == 1
+    assert search._work(band, force_exact=True) == 12502500 * search.BAND_PAIR_WEIGHT
+    assert search.processes(band, force_exact=True) == 8
+    # past INTERVAL_MAX_T the window loop takes the band again
+    wide = SearchConfig(max_x=400, exact_residual=2**25 + 1, workers=8)
+    assert search._work(wide) == 400 * 401 // 2 * search.BAND_PAIR_WEIGHT
     # so does every pair of a forced window-loop scan
     small = SearchConfig(max_x=1500, exact_residual=8, workers=8)
     assert (search.processes(small), search.processes(small, force_exact=True)) == (1, 8)
@@ -636,29 +652,24 @@ def test_pairs_below_y0_stay_in_the_window_loop():
             assert scan(cfg) == scan(cfg, force_exact=True)
 
 
-def test_window_loop_takes_only_the_corner(monkeypatch):
-    # the window loop takes the pairs with y < y0, x from 1 to y0 - 1,
-    # and the kernel every y from y0 on: y0 = 3 for residual 8, the pairs
-    # (1, 1), (1, 2) and (2, 2); y0 = 18 for t = 300, although 2*x^4 > t^2
-    # from x0 = 15 on; y0 = 142 for t = 20000 (x0 = 119)
-    seen = []
-
-    def recording_window_loop(x, y_end, lo, hi):
-        seen.append((x, y_end))
-        return window_loop(x, y_end, lo, hi)
-
-    window_loop = search._scan_x_exact
-    monkeypatch.setattr(search, "_scan_x_exact", recording_window_loop)
+def test_band_takes_only_the_corner(monkeypatch):
+    # the band takes the pairs with y < y0, x from 1 to y0 - 1, and the
+    # kernel every y from y0 on: y0 = 3 for residual 8, the pairs (1, 1),
+    # (1, 2) and (2, 2); y0 = 18 for t = 300, although 2*x^4 > t^2 from
+    # x0 = 15 on; y0 = 142 for t = 20000 (x0 = 119)
+    calls = recording_band(monkeypatch)
     hits = scan(SearchConfig(max_x=7000, exact_residual=8))
-    assert seen == [(1, 3), (2, 3)]
+    assert calls == [(3, 0, 1, [(1, 2, 3, 8)])]
     assert {(1, 2, 3, 8), (22, 23, 717, 8), (1058, 1103, 1653213, 8)} <= set(hits)
     for cfg, y0 in (
         (SearchConfig(max_x=1200, threshold=300), 18),
         (SearchConfig(max_x=400, threshold=20000), 142),
     ):
-        seen.clear()
+        calls.clear()
         hits = scan(cfg)
-        assert seen == [(x, y0) for x in range(1, y0)]
+        [(band_y0, index, stride, rows)] = calls
+        assert (band_y0, index, stride) == (y0, 0, 1) and rows
+        assert sorted(rows) == sorted(h for h in scan(cfg, force_exact=True) if h.y < y0)
         assert hits == scan(cfg, force_exact=True)
 
 
@@ -737,6 +748,117 @@ def test_rows_of_a_pair_stay_in_z_order(monkeypatch, in_process_pool, pool_at_an
         hits = scan(SearchConfig(max_x=60, threshold=2000, workers=workers))
         assert hits == expected
         assert len(in_process_pool) == (workers > 1)
+
+
+@st.composite
+def band_windows(draw):
+    """(min_x, max_x, window) over at most 41 values of x from inside the
+    band y < y0: t = max(-lo, hi) up to INTERVAL_MAX_T, and pinned at it
+    and one past it, as a threshold (from an x where a pair has a few
+    rows at most) or an exact residual +/-t; or a residual R at or near
+    x^4 + y^4 of a small pair, so that s - R is tiny or negative."""
+    kind = draw(st.sampled_from(["threshold", "residual", "near"]))
+    if kind == "near":
+        x = draw(st.integers(1, 60))
+        y = draw(st.integers(x, 60))
+        residual = x**4 + y**4 - draw(st.integers(-3, 10))
+        assume(residual != 0)  # y0 = 1 then: no band
+        return draw(st.integers(1, x)), y + draw(st.integers(0, 20)), {"exact_residual": residual}
+    t = draw(
+        st.one_of(
+            st.integers(1, 3000),
+            st.integers(1, INTERVAL_MAX_T),
+            st.sampled_from([INTERVAL_MAX_T, INTERVAL_MAX_T + 1]),
+        )
+    )
+    y0 = math.isqrt(t) + 1
+    if kind == "residual":
+        min_x = draw(st.integers(1, y0 - 1))
+        window = {"exact_residual": draw(st.sampled_from([t, -t]))}
+    else:
+        # x^2 > t/8 leaves a pair at most about 1 + sqrt(2) * 8 rows
+        min_x = draw(st.integers(1 if t <= 3000 else math.isqrt(t // 8) + 1, y0 - 1))
+        window = {"threshold": t}
+    return min_x, min_x + draw(st.integers(0, 40)), window
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(band_windows())
+def test_band_matches_exact(monkeypatch, in_process_pool, pool_at_any_size, window):
+    monkeypatch.setattr(search, "_cpus", lambda: 2)
+    min_x, max_x, fields = window
+    cfg = SearchConfig(min_x=min_x, max_x=max_x, **fields)
+    assert min_x < _kernel_y_start(cfg)  # the range starts in the band
+    expected = scan(cfg, force_exact=True)
+    for workers in (1, 2):
+        assert scan(replace(cfg, workers=workers)) == expected
+
+
+@pytest.mark.parametrize(
+    "cfg, interval",
+    [
+        # (64, 64, 8192) hits: 2 * 64^4 - 8192^2 = -2^25
+        (SearchConfig(max_x=100, exact_residual=-INTERVAL_MAX_T), True),
+        (SearchConfig(max_x=100, exact_residual=INTERVAL_MAX_T + 1), False),  # (1, 96, 7168)
+        (SearchConfig(min_x=5700, max_x=5900, threshold=INTERVAL_MAX_T), True),
+        (SearchConfig(min_x=5700, max_x=5900, threshold=INTERVAL_MAX_T + 1), False),
+    ],
+    ids=["residual-2^25", "residual-2^25+1", "threshold-2^25", "threshold-2^25+1"],
+)
+def test_interval_takes_the_band_up_to_its_bound(monkeypatch, cfg, interval):
+    expected = scan(cfg, force_exact=True)
+    assert any(h.y < _kernel_y_start(cfg) for h in expected)
+    calls = recording_band(monkeypatch)
+    assert scan(cfg) == expected
+    assert bool(calls) == interval
+
+
+def test_hits_is_a_read_only_sequence():
+    hits = scan(SearchConfig(max_x=60, threshold=50))
+    rows = naive_scan(1, 60, threshold=50)
+    assert isinstance(hits, Hits) and isinstance(hits, Sequence) and len(hits) == len(rows)
+    # equal to any sequence of the same rows, from either side
+    assert hits == rows and rows == hits and hits == tuple(rows) and hits == list(hits)
+    assert hits != rows[:-1] and hits != rows[::-1] and hits != [] and hits != "rows"
+    assert scan(SearchConfig(max_x=10)) == [] == scan(SearchConfig(max_x=10))
+    # items, negative indices and slices
+    assert hits[0] == rows[0] and hits[-1] == rows[-1] and hits[-7] == rows[-7]
+    assert type(hits[-1]) is SearchHit
+    for part in (slice(3, 9), slice(None, None, -2), slice(-5, None), slice(40, 10)):
+        assert isinstance(hits[part], Hits) and hits[part] == rows[part]
+    with pytest.raises(IndexError):
+        hits[len(rows)]
+    assert rows[5] in hits and (1, 1, 1, 2) not in hits
+    assert hits.index(rows[4]) == 4 and hits.count(rows[4]) == 1
+    assert list(reversed(hits)) == rows[::-1]
+    # read-only, and so unhashable
+    with pytest.raises(ValueError):
+        hits.columns[2][0] = 0
+    with pytest.raises(ValueError):
+        hits[2:5].columns[0][0] = 0
+    with pytest.raises(TypeError):
+        hash(hits)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (KERNEL_MAX_X - 1, KERNEL_MAX_X),  # kernel: int64 columns
+        (3_650_000_000, 3_650_000_000),  # window loop: z and delta pass 2^63
+    ],
+)
+def test_hit_fields_are_python_ints(x, y):
+    # verify_hit computes x^4 + y^4 - z^2, which would wrap in int64
+    # numpy scalars; an object column holds the window loop's big ints
+    s = x**4 + y**4
+    z = math.isqrt(s)
+    hits = scan(SearchConfig(min_x=x, max_x=y, exact_residual=s - z * z))
+    assert (x, y, z, s - z * z) in hits
+    for hit in (hits[-1], *hits):
+        assert all(type(v) is int for v in hit) and verify_hit(hit)
+    assert [c.dtype == np.int64 for c in hits.columns] == [True, True, z < 2**63, s - z * z < 2**63]
 
 
 def test_kernel_min_x():
