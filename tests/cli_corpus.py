@@ -1,13 +1,18 @@
-"""Byte-identity corpus of `search`: for each argv, the sha256 and length
-of its stdout and its exit code, in tests/data/search_corpus.json.
+"""Byte-identity corpus of the command line: for each argv, the sha256
+and length of its stdout and its exit code, in tests/data/cli_corpus.json.
 
-Usage, from the repository root:  python3 tests/search_corpus.py
+Usage, from the repository root:
+  python3 tests/cli_corpus.py          record the argvs missing from the file
+  python3 tests/cli_corpus.py --check  replay them all; exit 1 on any change
 
 Each argv of ARGVS missing from the file runs once in a fresh process
 (`python -m nearmiss4.cli`) and is added.  An argv already in the file is
 neither run nor rewritten: the file keeps the bytes of the commit that
 first recorded it.  To record one again on purpose, delete its entry by
 hand and say why in CHANGES.md.  stderr is left out: it holds a timing.
+--check runs every argv of ARGVS in a fresh process, writes nothing, and
+lists each one whose stdout sha256, byte count or exit code differs from
+its entry, or that has no entry.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import sys
 from math import isqrt
 from pathlib import Path
 
-CORPUS = Path(__file__).parent / "data" / "search_corpus.json"
+CORPUS = Path(__file__).parent / "data" / "cli_corpus.json"
 SRC = Path(__file__).parents[1] / "src"
 
 # one pair past KERNEL_MAX_X whose z and residual both pass 2^63
@@ -68,6 +73,17 @@ ARGVS = [
     for window in WINDOWS
     for fmt in ("tsv", "jsonl")
     for workers in (1, 2, 8)
+] + [
+    # z_n passes CPython's default int -> str limit of 4300 digits at n = 1278
+    *(
+        ["gen", "--count", str(count), "--format", fmt]
+        for count in (1, 4, 1278)
+        for fmt in ("tsv", "jsonl")
+    ),
+    *(["verify", "--count", str(count)] for count in (1, 50, 500)),
+    # n = 10000 is past sequences.MAX_INDEX - 1: a usage error, exit 2
+    *(["closed-form", "--n", str(n)] for n in (0, 1, 1000, 1300, 10000)),
+    ["identities"],
 ]
 
 
@@ -87,8 +103,21 @@ def record(argv: list[str]) -> dict:
     }
 
 
-def main() -> int:
+def check(corpus: dict) -> int:
+    changed = [key(argv) for argv in ARGVS if corpus.get(key(argv)) != record(argv)]
+    for k in changed:
+        print(f"changed: {k}" if k in corpus else f"no entry: {k}")
+    print(f"{len(ARGVS) - len(changed)} of {len(ARGVS)} argvs match {CORPUS.name}")
+    return 1 if changed else 0
+
+
+def main(args: list[str]) -> int:
     corpus = json.loads(CORPUS.read_text()) if CORPUS.exists() else {}
+    if args == ["--check"]:
+        return check(corpus)
+    if args:
+        print(__doc__, file=sys.stderr)
+        return 2
     added = 0
     for argv in ARGVS:
         if key(argv) in corpus:
@@ -102,4 +131,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import search_corpus
+import cli_corpus
 from nearmiss4 import cli, exactmath, identities, search, sequences
 
 FIXTURE = Path(__file__).parent / "data" / "search_oracle_max60_t50.tsv"
@@ -174,7 +174,7 @@ def test_search_prints_columns_a_chunk_at_a_time(capsys, monkeypatch):
     assert [len(w.splitlines()) for w in writes] == [100, 100, 55]
     assert all(type(w) is bytes for w in writes)
     writes.clear()
-    x, r = search_corpus.BIG_X, search_corpus.BIG_R
+    x, r = cli_corpus.BIG_X, cli_corpus.BIG_R
     argv = ["search", "--min-x", str(x), "--max-x", str(x), "--exact-residual", str(r)]
     code, out, _ = run(capsys, *argv)
     z = math.isqrt(2 * x**4)
@@ -182,11 +182,11 @@ def test_search_prints_columns_a_chunk_at_a_time(capsys, monkeypatch):
     assert [type(w) for w in writes] == [str]
 
 
-def test_search_matches_the_corpus_byte_for_byte(capsys):
+def test_cli_matches_the_corpus_byte_for_byte(capsys):
     # stdout sha256 and length and exit code of every argv recorded by
-    # tests/search_corpus.py, replayed in-process
-    corpus = json.loads(search_corpus.CORPUS.read_text())
-    assert list(corpus) == [search_corpus.key(argv) for argv in search_corpus.ARGVS]
+    # tests/cli_corpus.py, replayed in-process
+    corpus = json.loads(cli_corpus.CORPUS.read_text())
+    assert list(corpus) == [cli_corpus.key(argv) for argv in cli_corpus.ARGVS]
     changed = []
     for key, ref in corpus.items():
         code, out, _ = run(capsys, *key.split())
