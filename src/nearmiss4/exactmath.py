@@ -6,11 +6,12 @@ gcd(a, b, den) == 1, so equality and hashing compare the ints directly.
 Every field operation works on the ints and reduces its result once,
 with gcd(den, A, B): the denominator goes first, so a huge numerator is
 only ever reduced modulo a small number, and results with den == 1 skip
-the gcd altogether.
+the gcd altogether.  +, - and * by a QuadElem of the same d form their
+result in the operator itself; ints and Fractions go through _parts.
 
 d is validated (a non-square >= 2) in one place, the public constructor
-QuadElem(p, q, d), which takes the rational parts p and q.  Results of
-operations come from a private constructor that trusts its inputs.  The
+QuadElem(p, q, d), which takes the rational parts p and q.  Every object
+comes from one private constructor, _reduced, which trusts d.  The
 rational parts are read back as reduced fractions.Fraction values .p
 and .q; Python ints give lossless decimal round-trips throughout.
 
@@ -52,7 +53,7 @@ class QuadElem:
         den = lcm(p.denominator, q.denominator)
         a = p.numerator * (den // p.denominator)
         b = q.numerator * (den // q.denominator)
-        return _make(a, b, den, d)
+        return _reduced(a, b, den, d)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -92,48 +93,60 @@ class QuadElem:
         return None
 
     def __add__(self, other: QuadElem | Fraction | int) -> QuadElem:
-        parts = self._parts(other)
-        if parts is None:
+        if type(other) is QuadElem and other._d == self._d:
+            a, b, den = other._a, other._b, other._den
+        elif (parts := self._parts(other)) is None:
             return NotImplemented
-        a, b, den = parts
-        return _sum(self._a, self._b, self._den, a, b, den, self._d)
+        else:
+            a, b, den = parts
+        a1, b1, den1 = self._a, self._b, self._den
+        if den == den1:
+            return _reduced(a1 + a, b1 + b, den, self._d)
+        return _reduced(a1 * den + a * den1, b1 * den + b * den1, den1 * den, self._d)
 
     __radd__ = __add__
 
     def __sub__(self, other: QuadElem | Fraction | int) -> QuadElem:
-        parts = self._parts(other)
-        if parts is None:
+        if type(other) is QuadElem and other._d == self._d:
+            a, b, den = other._a, other._b, other._den
+        elif (parts := self._parts(other)) is None:
             return NotImplemented
-        a, b, den = parts
-        return _sum(self._a, self._b, self._den, -a, -b, den, self._d)
+        else:
+            a, b, den = parts
+        a1, b1, den1 = self._a, self._b, self._den
+        if den == den1:
+            return _reduced(a1 - a, b1 - b, den, self._d)
+        return _reduced(a1 * den - a * den1, b1 * den - b * den1, den1 * den, self._d)
 
     def __rsub__(self, other: QuadElem | Fraction | int) -> QuadElem:
-        parts = self._parts(other)
-        if parts is None:
+        if (parts := self._parts(other)) is None:
             return NotImplemented
         a, b, den = parts
-        return _sum(-self._a, -self._b, self._den, a, b, den, self._d)
+        a1, b1, den1 = self._a, self._b, self._den
+        return _reduced(a * den1 - a1 * den, b * den1 - b1 * den, den1 * den, self._d)
 
     def __neg__(self) -> QuadElem:
-        return _make(-self._a, -self._b, self._den, self._d)
+        return _reduced(-self._a, -self._b, self._den, self._d)
 
     def __mul__(self, other: QuadElem | Fraction | int) -> QuadElem:
-        parts = self._parts(other)
-        if parts is None:
+        if type(other) is QuadElem and other._d == self._d:
+            a, b, den = other._a, other._b, other._den
+        elif (parts := self._parts(other)) is None:
             return NotImplemented
-        return _product(self, *parts)
+        else:
+            a, b, den = parts
+        a1, b1, d = self._a, self._b, self._d
+        return _reduced(a1 * a + d * b1 * b, a1 * b + b1 * a, self._den * den, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: QuadElem | Fraction | int) -> QuadElem:
-        parts = self._parts(other)
-        if parts is None:
+        if (parts := self._parts(other)) is None:
             return NotImplemented
         return _product(self, *_inverse(*parts, self._d))
 
     def __rtruediv__(self, other: QuadElem | Fraction | int) -> QuadElem:
-        parts = self._parts(other)
-        if parts is None:
+        if (parts := self._parts(other)) is None:
             return NotImplemented
         return _product(self.inverse(), *parts)
 
@@ -142,7 +155,7 @@ class QuadElem:
             return NotImplemented
         base = self.inverse() if exponent < 0 else self
         exponent = abs(exponent)
-        result = _make(1, 0, 1, self._d)
+        result = _reduced(1, 0, 1, self._d)
         while exponent:
             if exponent & 1:
                 result = _product(result, base._a, base._b, base._den)
@@ -169,7 +182,7 @@ class QuadElem:
 
     def conj(self) -> QuadElem:
         """The field conjugate p - q*sqrt(d)."""
-        return _make(self._a, -self._b, self._den, self._d)
+        return _reduced(self._a, -self._b, self._den, self._d)
 
     def norm(self) -> Fraction:
         """p^2 - d*q^2, the rational part of self * self.conj()."""
@@ -177,7 +190,7 @@ class QuadElem:
         return Fraction(a * a - self._d * b * b, den * den)
 
     def inverse(self) -> QuadElem:
-        return _make(*_inverse(self._a, self._b, self._den, self._d), self._d)
+        return _reduced(*_inverse(self._a, self._b, self._den, self._d), self._d)
 
     def is_rational(self) -> bool:
         return not self._b
@@ -195,29 +208,18 @@ _new = object.__new__
 _set_a, _set_b, _set_den, _set_d = (QuadElem.__dict__[s].__set__ for s in QuadElem.__slots__)
 
 
-def _make(a: int, b: int, den: int, d: int) -> QuadElem:
-    """The private constructor: (a + b*sqrt(d))/den, taken as canonical."""
-    self = _new(QuadElem)
-    _set_a(self, a)
-    _set_b(self, b)
-    _set_den(self, den)
-    _set_d(self, d)
-    return self
-
-
 def _reduced(a: int, b: int, den: int, d: int) -> QuadElem:
     """(a + b*sqrt(d))/den for den > 0, brought to lowest terms."""
     if den != 1:
         g = gcd(den, a, b)
         if g != 1:
             a, b, den = a // g, b // g, den // g
-    return _make(a, b, den, d)
-
-
-def _sum(a1: int, b1: int, den1: int, a2: int, b2: int, den2: int, d: int) -> QuadElem:
-    if den1 == den2:
-        return _reduced(a1 + a2, b1 + b2, den1, d)
-    return _reduced(a1 * den2 + a2 * den1, b1 * den2 + b2 * den1, den1 * den2, d)
+    self = _new(QuadElem)
+    _set_a(self, a)
+    _set_b(self, b)
+    _set_den(self, den)
+    _set_d(self, d)
+    return self
 
 
 def _product(x: QuadElem, a: int, b: int, den: int) -> QuadElem:
@@ -231,7 +233,7 @@ def _square(x: QuadElem) -> QuadElem:
 
 
 def _inverse(a: int, b: int, den: int, d: int) -> tuple[int, int, int]:
-    """(A, B, N) in lowest terms with (A + B*sqrt(d))/N = den/(a + b*sqrt(d)).
+    """(A, B, N), not reduced, with (A + B*sqrt(d))/N = den/(a + b*sqrt(d)).
 
     That is den*(a - b*sqrt(d))/(a^2 - d*b^2), signs moved so N > 0.
     """
@@ -241,6 +243,4 @@ def _inverse(a: int, b: int, den: int, d: int) -> tuple[int, int, int]:
         raise ZeroDivisionError("zero element of Q(sqrt(d)) has no inverse")
     if n < 0:
         n, den = -n, -den
-    a, b = den * a, -den * b
-    g = gcd(n, a, b)
-    return a // g, b // g, n // g
+    return den * a, -den * b, n

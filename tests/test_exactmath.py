@@ -29,6 +29,13 @@ fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 quad_st = st.builds(QuadElem, fractions_st, fractions_st)
 nonzero_quad_st = quad_st.filter(bool)
 
+# the paper's field, then two more: the reference checks must not lean on d = 577
+FIELDS = (577, 2, 1154)
+
+
+def quads_in(d):
+    return st.builds(QuadElem, fractions_st, fractions_st, st.just(d))
+
 
 # --- frozen examples -------------------------------------------------------
 
@@ -99,6 +106,13 @@ def test_discriminant_mismatch_rejected():
             op(LAM1, other)
         with pytest.raises(DiscriminantMismatchError):
             op(other, LAM1)
+    # each operator method, reflected ones too, called directly with an
+    # operand of a foreign field: the same-field fast path must not take it
+    names = ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv")
+    for u, v in ((LAM1, other), (other, LAM1), (LAM1, QuadElem(1, 1, d=1154))):
+        for name in names:
+            with pytest.raises(DiscriminantMismatchError):
+                getattr(u, f"__{name}__")(v)
 
 
 def test_square_discriminant_rejected():
@@ -272,14 +286,22 @@ def test_comparison_with_other_types_is_unequal():
 
 # --- differential against the Fraction-pair reference ----------------------
 
-operand_st = st.one_of(quad_st, st.integers(-60, 60), fractions_st)
+def operands_in(d):
+    return st.one_of(quads_in(d), st.integers(-60, 60), fractions_st)
+
+
+operand_st = operands_in(577)
 huge_st = st.builds(lambda c, n: c * LAM1**n, fractions_st.filter(bool), st.integers(0, 500))
+# (a QuadElem, an operand of its field) with the field drawn from FIELDS
+field_operands_st = st.sampled_from(FIELDS).flatmap(
+    lambda d: st.tuples(quads_in(d), operands_in(d))
+)
 
 BINARY = {
-    "+": (operator.add, quadref.add),
-    "-": (operator.sub, quadref.sub),
-    "*": (operator.mul, lambda u, v: quadref.mul(u, v, 577)),
-    "/": (operator.truediv, lambda u, v: quadref.div(u, v, 577)),
+    "+": (operator.add, lambda u, v, d: quadref.add(u, v)),
+    "-": (operator.sub, lambda u, v, d: quadref.sub(u, v)),
+    "*": (operator.mul, quadref.mul),
+    "/": (operator.truediv, quadref.div),
 }
 
 
@@ -287,53 +309,55 @@ def _pair(value):
     return (value.p, value.q) if isinstance(value, QuadElem) else quadref.pair(value)
 
 
-def assert_matches(got, expected):
-    """got is a QuadElem whose parts are exactly the reduced reference pair."""
-    assert type(got) is QuadElem and got.d == 577
+def assert_matches(got, expected, d=577):
+    """got is a QuadElem of Q(sqrt(d)) whose parts are exactly the reduced
+    reference pair."""
+    assert type(got) is QuadElem and got.d == d
     for part, ref in zip((got.p, got.q), expected):
         assert type(part) is Fraction
         assert (part.numerator, part.denominator) == (ref.numerator, ref.denominator)
-    assert got == QuadElem(*expected)
-    assert hash(got) == hash(QuadElem(*expected))
+    assert got == QuadElem(*expected, d)
+    assert hash(got) == hash(QuadElem(*expected, d))
 
 
-def _check_binary(left, right, symbol):
+def _check_binary(left, right, symbol, d=577):
     op, ref = BINARY[symbol]
     try:
-        expected = ref(_pair(left), _pair(right))
+        expected = ref(_pair(left), _pair(right), d)
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
             op(left, right)
         return
-    assert_matches(op(left, right), expected)
+    assert_matches(op(left, right), expected, d)
 
 
 @settings(deadline=None)
-@given(quad_st, operand_st, st.sampled_from(sorted(BINARY)))
-def test_binary_operators_match_reference(u, v, symbol):
-    _check_binary(u, v, symbol)
-    _check_binary(v, u, symbol)
+@given(field_operands_st, st.sampled_from(sorted(BINARY)))
+def test_binary_operators_match_reference(operands, symbol):
+    u, v = operands
+    _check_binary(u, v, symbol, u.d)
+    _check_binary(v, u, symbol, u.d)
 
 
 @settings(deadline=None)
-@given(st.one_of(quad_st, huge_st))
+@given(st.one_of(st.sampled_from(FIELDS).flatmap(quads_in), huge_st))
 def test_unary_operations_match_reference(u):
-    ref = _pair(u)
-    assert_matches(u.conj(), quadref.conj(ref))
-    assert_matches(-u, quadref.sub(quadref.pair(0), ref))
+    ref, d = _pair(u), u.d
+    assert_matches(u.conj(), quadref.conj(ref), d)
+    assert_matches(-u, quadref.sub(quadref.pair(0), ref), d)
     norm = u.norm()
-    assert type(norm) is Fraction and norm == quadref.norm(ref, 577)
+    assert type(norm) is Fraction and norm == quadref.norm(ref, d)
     if u:
-        assert_matches(u.inverse(), quadref.inverse(ref, 577))
+        assert_matches(u.inverse(), quadref.inverse(ref, d), d)
     else:
         with pytest.raises(ZeroDivisionError):
             u.inverse()
 
 
 @settings(deadline=None)
-@given(nonzero_quad_st, st.integers(-25, 25))
+@given(st.sampled_from(FIELDS).flatmap(quads_in).filter(bool), st.integers(-25, 25))
 def test_pow_matches_reference(u, exponent):
-    assert_matches(u**exponent, quadref.power(_pair(u), exponent, 577))
+    assert_matches(u**exponent, quadref.power(_pair(u), exponent, u.d), u.d)
 
 
 @settings(deadline=None, max_examples=40)

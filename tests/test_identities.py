@@ -2,8 +2,12 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
+import quadref
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearmiss4.exactmath import QuadElem
 from nearmiss4.identities import (
@@ -17,7 +21,7 @@ from nearmiss4.identities import (
     verify_five_identities,
     verify_root_identities,
 )
-from nearmiss4.sequences import canonical_constants
+from nearmiss4.sequences import R, canonical_constants
 
 K = canonical_constants()
 
@@ -67,7 +71,7 @@ def test_lhs_expansion_frozen_values():
 
 def test_lhs_matches_stated_coefficients():
     # the hand-stated binomial coefficients, assembled without the
-    # convolution machinery
+    # squaring machinery
     a, b, c, d = K.a, K.b, K.c, K.d
     stated = ExpansionTable(
         {
@@ -94,6 +98,38 @@ def test_rhs_matches_stated_coefficients():
         }
     )
     assert tables_equal(expand_rhs(K), stated)
+
+
+def _power(terms, degree):
+    """slot -> reference pair of a formal sum raised to degree, formed one
+    ordered monomial at a time with quadref, never with QuadElem."""
+    out = {}
+    for choice in product(terms, repeat=degree):
+        coeff = quadref.pair(1)
+        for _, c in choice:
+            coeff = quadref.mul(coeff, c, 577)
+        slot = sum(s for s, _ in choice)
+        out[slot] = quadref.add(out.get(slot, quadref.pair(0)), coeff)
+    return out
+
+
+fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+quad_st = st.builds(QuadElem, fractions_st, fractions_st)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(quad_st, min_size=6, max_size=6), fractions_st)
+def test_expansions_match_a_monomial_reference(coeffs, g):
+    # six independent constants, not conjugate pairs, with mixed denominators
+    a, b, c, d, e, f = ((u.p, u.q) for u in coeffs)
+    lhs = _power([(1, a), (-1, b)], 4)
+    for slot, coeff in _power([(1, c), (-1, d)], 4).items():
+        lhs[slot] = quadref.add(lhs[slot], coeff)
+    lhs[0] = quadref.sub(lhs[0], quadref.pair(R))
+    rhs = _power([(2, e), (-2, f), (0, quadref.pair(g))], 2)
+    k = replace(K, **dict(zip("abcdef", coeffs)), g=g)
+    for table, expected in ((expand_lhs(k), lhs), (expand_rhs(k), rhs)):
+        assert {slot: (v.p, v.q) for slot, v in table.entries.items()} == expected
 
 
 def test_five_identities_agree_with_table_comparison():
