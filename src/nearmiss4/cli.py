@@ -3,7 +3,8 @@
 Data rows go to stdout, diagnostics to stderr.  All numbers print as
 full decimal strings.  Exit codes: 0 success, 1 verification failure,
 2 usage error (argparse's convention), 141 (128 + SIGPIPE) when the
-reader closes stdout early, as `| head` does.
+reader closes stdout early, as `| head` does.  Ranges are the library's
+to check: its ValueError prints as `error: <message>`, before any output.
 
 TSV columns: gen -> n, x, y, z; search -> x, y, z, delta.  JSONL mirrors
 the TSV with the same field names; every field, n included, is a JSON
@@ -64,20 +65,6 @@ def _digit_groups() -> np.ndarray:
 _DIGIT_GROUPS = _digit_groups()
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nearmiss4",
@@ -86,16 +73,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help=f"emit triplets of the residual-{sequences.R} family")
-    gen.add_argument("--count", type=_positive_int, required=True)
+    gen.add_argument("--count", type=int, required=True)
     gen.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
 
     verify = sub.add_parser("verify", help="check residual and closed forms per index")
-    verify.add_argument("--count", type=_positive_int, required=True)
+    verify.add_argument("--count", type=int, required=True)
 
     closed = sub.add_parser(
         "closed-form", help=f"show the exact Q(sqrt({sequences.D})) evaluation"
     )
-    closed.add_argument("--n", type=_nonnegative_int, required=True)
+    closed.add_argument("--n", type=int, required=True)
 
     sub.add_parser("identities", help="verify the coefficient and root identities")
 
@@ -105,18 +92,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scan min_x <= x <= y <= max_x for hits: |x^4 + y^4 - z^2| <= T "
         "with --threshold T (default 0), or x^4 + y^4 - z^2 = R with --exact-residual R.",
     )
-    scan.add_argument("--min-x", type=_positive_int, default=1)
-    scan.add_argument("--max-x", type=_positive_int, required=True)
+    scan.add_argument("--min-x", type=int, default=1)
+    scan.add_argument("--max-x", type=int, required=True)
     residual = scan.add_mutually_exclusive_group()
-    residual.add_argument(
-        "--threshold", type=_nonnegative_int, default=0, metavar="T", help="window -T..T"
-    )
+    residual.add_argument("--threshold", type=int, default=0, metavar="T", help="window -T..T")
     residual.add_argument(
         "--exact-residual", type=int, default=None, metavar="R", help="window R..R"
     )
     scan.add_argument(
         "--workers",
-        type=_positive_int,
+        type=int,
         default=1,
         help="run at most WORKERS processes, at most one per CPU, one per x in the "
         f"range and one per {search.MIN_STRIPE_PAIRS:,} pairs of estimated work, so a "

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exactmath import QuadElem
 from .sequences import ClosedFormConstants, R
@@ -40,7 +41,7 @@ SLOTS = (-4, -2, 0, 2, 4)
 
 # A formal sum is a map slot -> coefficient, standing for the sum of
 # coeff * lambda1^(i*n) * lambda2^(j*n) with slot = i - j.
-_Terms = dict[int, QuadElem]
+_Terms = dict[int, QuadElem | Fraction]
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,8 @@ def expand_lhs(constants: ClosedFormConstants) -> ExpansionTable:
 def expand_rhs(constants: ClosedFormConstants) -> ExpansionTable:
     """Expansion of z_n^2, z_n = e*mu1^n + f*mu2^n + (-1)^n * g."""
     k = constants
-    return ExpansionTable(_square({2: k.e, -2: k.f, 0: QuadElem(k.g, 0, k.e.d)}))
+    # g is rational; slot 0 is still a QuadElem, as 2*e*f comes before g^2
+    return ExpansionTable(_square({2: k.e, -2: k.f, 0: k.g}))
 
 
 def tables_equal(lhs: ExpansionTable, rhs: ExpansionTable) -> bool:

@@ -10,20 +10,21 @@ the recurrences x_n = A*x_{n-1} + x_{n-2} (same for y) and
 z_n = (A^2+2)*z_{n-1} - z_{n-2} + (-1)^n * F with F = 192, and the
 equivalent closed forms over Q(sqrt(A^2/4+1)) = Q(sqrt(577)).  Evaluating
 a closed form must cancel every sqrt(577) term identically; anything
-else is a bug, never a rounding concern.
+else is a bug, never a rounding concern.  gen_recurrence streams the
+members, carrying the last two triplets only.
 
 A closed form at index n is evaluated from the powers lambda1^n,
-lambda2^n, mu1^n and mu2^n of its roots.  closed_form_powers(n) raises
-them by repeated squaring, for random access; carried_powers(count)
-walks indices 0..count-1 in order, one product per root per index, for
-callers that visit every index.
+lambda2^n, mu1^n and mu2^n of its roots.  closed_form_powers(n), their
+default, raises them by repeated squaring, for random access;
+carried_powers(count) walks indices 0..count-1 in order, one product
+per root per index, for callers that visit every index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from math import isqrt
 from operator import mul
 from typing import Iterator, NamedTuple
@@ -51,8 +52,8 @@ INITIAL_TRIPLETS = ((22, 23, 717), (1058, 1103, 1653213))
 A = 48  # x_n = A*x_{n-1} + x_{n-2}; even, so lambda1 lies in Q(sqrt(A^2/4+1))
 D = A * A // 4 + 1  # 577: the family's field is Q(sqrt(D))
 R = 8  # the miss: residual(x, y, z) = R on every member
-# Indices 0..MAX_INDEX-1 are served.  z_n has about 3.4*n digits, and
-# gen_recurrence keeps every row, so its memory grows as count^2.
+# Indices 0..MAX_INDEX-1 are served.  z_n has about 3.4*n digits, so the
+# cost per index grows with n: verify --count 10^4 takes about 40 s.
 MAX_INDEX = 10**4
 
 
@@ -123,31 +124,24 @@ def canonical_constants() -> ClosedFormConstants:
     )
 
 
-def gen_recurrence(count: int) -> list[Triplet]:
-    """First `count` triplets, indices 0..count-1, by the recurrences.
+def _members() -> Iterator[Triplet]:
+    """Members 0..MAX_INDEX-1 in order, carrying the last two triplets only."""
+    (x0, y0, z0), (x1, y1, z1) = INITIAL_TRIPLETS
+    z_mult, forcing = A * A + 2, _forcing()  # z_{n+2} takes (-1)^n * F
+    for n in range(MAX_INDEX):
+        yield Triplet(n, x0, y0, z0)
+        x0, y0, z0, x1, y1, z1 = x1, y1, z1, A * x1 + x0, A * y1 + y0, z_mult * z1 - z0 + forcing
+        forcing = -forcing
 
-    Iterative with O(1) carried state; entries near n = 200 run to
-    thousands of digits.
+
+def gen_recurrence(count: int) -> Iterator[Triplet]:
+    """The triplets at indices 0..count-1, by the recurrences, lazily.
+
+    count is checked at the call; reading the rows holds two at a time.
     """
     if not 1 <= count <= MAX_INDEX:
         raise ValueError(f"count must be in 1..{MAX_INDEX}, got {count}")
-    first, second = INITIAL_TRIPLETS
-    out = [Triplet(0, *first)]
-    if count == 1:
-        return out
-    out.append(Triplet(1, *second))
-    z_mult, forcing = A * A + 2, _forcing()
-    for n in range(2, count):
-        prev, prev2 = out[-1], out[-2]
-        out.append(
-            Triplet(
-                n,
-                A * prev.x + prev2.x,
-                A * prev.y + prev2.y,
-                z_mult * prev.z - prev2.z + (forcing if n % 2 == 0 else -forcing),
-            )
-        )
-    return out
+    return islice(_members(), count)
 
 
 def residual(x: int, y: int, z: int) -> int:
@@ -217,15 +211,12 @@ def closed_form_xy(
 ) -> tuple[int, int]:
     """(x_n, y_n) from the closed forms, with exact cancellation checks.
 
-    powers, the Powers at index n of the same constants, saves raising
-    lambda1 and lambda2 to the n-th power here.
+    powers, the Powers at index n of the same constants, defaults to
+    closed_form_powers(n, constants).
     """
     _check_index(n)
     k = constants if constants is not None else canonical_constants()
-    if powers is None:
-        l1n, l2n = k.lambda1**n, k.lambda2**n
-    else:
-        l1n, l2n = powers.lambda1, powers.lambda2
+    l1n, l2n, _, _ = powers if powers is not None else closed_form_powers(n, k)
     x = _exact_int(k.a * l1n + k.b * l2n, f"x_{n}")
     y = _exact_int(k.c * l1n + k.d * l2n, f"y_{n}")
     return x, y
@@ -236,15 +227,12 @@ def closed_form_z(
 ) -> int:
     """z_n from its closed form; must come out a positive integer.
 
-    powers, the Powers at index n of the same constants, saves raising
-    mu1 and mu2 to the n-th power here.
+    powers, the Powers at index n of the same constants, defaults to
+    closed_form_powers(n, constants).
     """
     _check_index(n)
     k = constants if constants is not None else canonical_constants()
-    if powers is None:
-        m1n, m2n = k.mu1**n, k.mu2**n
-    else:
-        m1n, m2n = powers.mu1, powers.mu2
+    _, _, m1n, m2n = powers if powers is not None else closed_form_powers(n, k)
     sign = 1 if n % 2 == 0 else -1
     z = _exact_int(k.e * m1n + k.f * m2n + sign * k.g, f"z_{n}")
     if z <= 0:

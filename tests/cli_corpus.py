@@ -84,6 +84,14 @@ ARGVS = [
     # n = 10000 is past sequences.MAX_INDEX - 1: a usage error, exit 2
     *(["closed-form", "--n", str(n)] for n in (0, 1, 1000, 1300, 10000)),
     ["identities"],
+    # range errors: empty stdout and exit 2
+    ["gen", "--count", "0"],
+    ["verify", "--count", "0"],
+    ["closed-form", "--n", "-1"],
+    ["search", "--max-x", "0"],
+    ["search", "--min-x", "0", "--max-x", "5"],
+    ["search", "--max-x", "5", "--workers", "0"],
+    ["search", "--max-x", "5", "--threshold", "-1"],
 ]
 
 

@@ -68,7 +68,7 @@ def test_criterion_1_table_reproduction(capsys):
 def test_criterion_2_residual_is_R_to_depth_200():
     with criterion(2, "residual is exactly R = 8 for all n < 200 in < 5 s"):
         start = time.perf_counter()
-        triplets = gen_recurrence(200)
+        triplets = list(gen_recurrence(200))
         assert all(residual(t.x, t.y, t.z) == R for t in triplets)
         elapsed = time.perf_counter() - start
         assert triplets[-1].x > 10**300  # genuinely huge by the end

@@ -102,7 +102,7 @@ def test_jsonl_bytes_are_compact_json_dumps(capsys, argv, rows):
 def test_gen_past_the_digit_limit_prints_every_earlier_row_whole(capsys, fmt):
     # with the limit at 1000 digits, z_297 (1002 digits) is the first field
     # that cannot be printed; rows 0..296 span two output batches
-    members = sequences.gen_recurrence(300)
+    members = list(sequences.gen_recurrence(300))
     previous = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(1000)
@@ -201,19 +201,23 @@ def test_cli_matches_the_corpus_byte_for_byte(capsys):
 
 
 def test_gen_zero_count_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["gen", "--count", "0"])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "gen", "--count", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: count must be in 1..10000, got 0\n"
 
 
 @pytest.mark.parametrize(
     "argv", [["search", "--max-x", "10", "--threshold", "-1"], ["closed-form", "--n", "-1"]]
 )
 def test_negative_values_are_usage_errors(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    assert "must be >= 0, got -1" in capsys.readouterr().err
+    # the library's range check, in the one format of every range error
+    message = {
+        "search": "threshold must be >= 0, got -1",
+        "closed-form": "index must be in 0..9999, got -1",
+    }[argv[0]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_unknown_flag_is_usage_error():
@@ -328,7 +332,7 @@ def test_derivation_follows_the_seeds(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--count", "8")
     assert code == 0
     assert out.splitlines() == [f"n={i} ok" for i in range(8)]
-    t = sequences.gen_recurrence(4)
+    t = list(sequences.gen_recurrence(4))
     assert (t[2].x, t[2].y, t[2].z) == (3409, 3554, 17163747)
     assert (t[3].x, t[3].y, t[3].z) == (163703, 170666, 39579592947)
     k = sequences.canonical_constants()
@@ -422,7 +426,7 @@ def test_closed_form_prints_past_the_digit_limit(capsys):
     try:
         code, out, _ = run(capsys, "closed-form", "--n", "1300")
         assert sys.get_int_max_str_digits() == 1000  # restored
-        t = sequences.gen_recurrence(1301)[-1]
+        t = list(sequences.gen_recurrence(1301))[-1]
         sys.set_int_max_str_digits(0)
         expected = [f"x_n         = {t.x}", f"y_n         = {t.y}", f"z_n         = {t.z}"]
     finally:

@@ -1,5 +1,6 @@
 """Recurrence and closed-form tests against the known table values."""
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from nearmiss4.exactmath import QuadElem
 from nearmiss4.search import SearchHit, verify_hit
 from nearmiss4.sequences import (
+    MAX_INDEX,
     R,
     CancellationError,
     Powers,
@@ -31,27 +33,44 @@ TABLE = [
 
 
 def test_recurrence_reproduces_table():
-    assert gen_recurrence(4) == TABLE
+    assert list(gen_recurrence(4)) == TABLE
+    assert list(gen_recurrence(1)) == TABLE[:1]
 
 
 def test_recurrence_specific_indices():
-    assert gen_recurrence(3)[2] == Triplet(2, 50806, 52967, 3812308653)
-    assert gen_recurrence(4)[3] == Triplet(3, 2439746, 2543519, 8791182100413)
+    assert list(gen_recurrence(3))[2] == Triplet(2, 50806, 52967, 3812308653)
+    assert list(gen_recurrence(4))[3] == Triplet(3, 2439746, 2543519, 8791182100413)
 
 
 def test_recurrence_n4_derived_values():
     # independently evaluated from the table rows before this module existed
-    t4 = gen_recurrence(5)[4]
+    t4 = list(gen_recurrence(5))[4]
     assert t4.x == 117158614
     assert t4.y == 122141879
     assert t4.z == 20272462111243917
 
 
 def test_recurrence_rejects_zero_count():
+    # at the call, before any row is asked for
     with pytest.raises(ValueError):
         gen_recurrence(0)
     with pytest.raises(ValueError):
         gen_recurrence(-3)
+
+
+def test_recurrence_streams_its_rows():
+    # each row is made from the two before it and none is kept: reading
+    # 3000 rows, z_2999 about 10^4 digits, holds a few rows at a time
+    tracemalloc.start()
+    try:
+        for t in gen_recurrence(3000):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.n == 2999 and t.z > 10**10000
+    assert peak < 2**20
+    assert [t.n for t in gen_recurrence(MAX_INDEX)][-1] == MAX_INDEX - 1
 
 
 def test_residual_examples():
@@ -112,7 +131,7 @@ def test_closed_form_rejects_negative_index():
 
 
 def test_growth_and_ordering():
-    triplets = gen_recurrence(40)
+    triplets = list(gen_recurrence(40))
     for prev, cur in zip(triplets, triplets[1:]):
         if prev.n >= 1:
             assert cur.x > 48 * prev.x
@@ -125,7 +144,7 @@ def test_growth_and_ordering():
 
 def test_forcing_sign_follows_parity():
     # +192 exactly at even n; both neighbours pin the phase
-    t = gen_recurrence(5)
+    t = list(gen_recurrence(5))
     assert t[2].z == 2306 * t[1].z - t[0].z + 192
     assert t[3].z == 2306 * t[2].z - t[1].z - 192
     assert t[4].z == 2306 * t[3].z - t[2].z + 192
