@@ -92,6 +92,17 @@ ARGVS = [
     ["search", "--min-x", "0", "--max-x", "5"],
     ["search", "--max-x", "5", "--workers", "0"],
     ["search", "--max-x", "5", "--threshold", "-1"],
+    # exact windows with pairs at and just past y^4 > R: (1, 6, 2) and
+    # (1, 18, 322) for R = 1293, and 324 hits for R = 4096 = 8^4
+    ["search", "--max-x", "40", "--exact-residual", "1293"],
+    *(
+        ["search", "--max-x", "300", "--exact-residual", "4096", "--format", fmt]
+        for fmt in ("tsv", "jsonl")
+    ),
+    # R <= 0: no pair has s <= R; R = 0 has no hit (Fermat)
+    ["search", "--max-x", "2000", "--exact-residual", "0"],
+    ["search", "--max-x", "2000", "--exact-residual", "-4"],
+    ["search", "--max-x", "3000", "--exact-residual", "-33554432"],
 ]
 
 
