@@ -95,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--min-x", type=int, default=1)
     scan.add_argument("--max-x", type=int, required=True)
     residual = scan.add_mutually_exclusive_group()
-    residual.add_argument("--threshold", type=int, default=0, metavar="T", help="window -T..T")
+    # default None: argparse lets an argument whose value is its default
+    # pass the exclusion, so a default of 0 would let --threshold 0 through
+    residual.add_argument("--threshold", type=int, default=None, metavar="T", help="window -T..T")
     residual.add_argument(
         "--exact-residual", type=int, default=None, metavar="R", help="window R..R"
     )
@@ -289,7 +291,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     cfg = search.SearchConfig(
         max_x=args.max_x,
         min_x=args.min_x,
-        threshold=args.threshold,
+        threshold=args.threshold or 0,
         exact_residual=args.exact_residual,
         workers=args.workers,
     )

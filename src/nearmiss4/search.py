@@ -11,17 +11,20 @@ has at most one hit.  If z hits, r^2 >= z^2 >= s - hi, so r hits too.
 In this regime r is therefore the one candidate: the pair hits iff
 s - lo - r^2 <= hi - lo, and its residual is s - r^2.
 
-The regime is a property of the pair, taken here as y >= y0, the least
-y with y^4 > t^2, so that s >= y^4 > t^2.  That one number splits the
-scan: one vectorized kernel takes every pair with y >= y0, for every
-window, over the square y0 <= x <= y and the rectangle x < y0 <= y.  It
-forms s - lo in int64 and lets it wrap mod 2^64, estimates r as
-sqrt(x^4 + y^4 - lo) in float64, and forms d = s - lo - r*r, which
-wraps too.  The wrapped d is nevertheless exact: r is off by at most
-one, so the true |s - lo - r^2| is at most 4r + 3, far below 2^63, and
-a value below 2^63 survives reduction mod 2^64 unchanged.  Moving r by
-one where d < 0 or d > 2r then makes r = isqrt(s - lo) exactly.  The
-float estimate errs by well under one up to KERNEL_MAX_X.
+An exact window needs no regime: hi = lo, so its one candidate is
+always r.  The scan takes the regime as y >= y0, the least y with
+y^4 > b, so that s >= y^4 > b: b = t^2, or max(R, 0) for an exact
+residual |R| <= INTERVAL_MAX_T, which keeps r >= 1.  That one number
+splits the scan: one vectorized kernel takes every pair with y >= y0,
+for every window, over the square y0 <= x <= y and the rectangle
+x < y0 <= y.  It forms s - lo in int64 and lets it wrap mod 2^64,
+estimates r as sqrt(x^4 + y^4 - lo) in float64, and forms
+d = s - lo - r*r, which wraps too.  The wrapped d is nevertheless
+exact: r is off by at most one, so the true |s - lo - r^2| is at most
+4r + 3, far below 2^63, and a value below 2^63 survives reduction mod
+2^64 unchanged.  Moving r by one where d < 0 or d > 2r then makes
+r = isqrt(s - lo) exactly.  The float estimate errs by well under one
+up to KERNEL_MAX_X.
 
 The kernel runs behind a congruence sieve.  A hit means s - v = z^2 for
 some v in lo..hi, so s - v is a square mod M = SIEVE_MODULUS = 432 =
@@ -35,13 +38,14 @@ pair of one class is kept only as x <= y; in the rectangle every y
 exceeds every x, so g is paired with every class.  The pairs run in
 blocks of at most SIEVE_BLOCK_PAIRS.
 
-The band y < y0, where s may be at most t^2 and a pair may hit more
-than once, is a z-interval: the hits of a pair are the z from
-isqrt(s - hi - 1) + 1 (or 1, when s <= hi) to isqrt(s - lo).  Band pairs
-have y^4 <= t^2, so for t <= INTERVAL_MAX_T = 2^25, s - lo <= 2t^2 + t
-< 2^52: every value is exact in float64 and int64, and a float square
-root with one +/-1 step is the exact isqrt.  Each block of pairs is
-expanded with np.repeat into one row per z.
+The band y < y0, where s may be at most b and a pair may hit more than
+once, is a z-interval: the hits of a pair are the z from
+isqrt(s - hi - 1) + 1 (or 1, when s <= hi) to isqrt(s - lo).  It holds
+y <= R^(1/4) for an exact window, at most 76 values, none for R <= 0.
+Band pairs have y^4 <= t^2, so for t <= INTERVAL_MAX_T = 2^25,
+s - lo <= 2t^2 + t < 2^52: every value is exact in float64 and int64,
+and a float square root with one +/-1 step is the exact isqrt.  Each
+block of pairs is expanded with np.repeat into one row per z.
 
 The pure-Python window loop tries the same z-interval pair by pair in
 big ints.  It is the reference the kernel and the z-interval are tested
@@ -80,19 +84,22 @@ __all__ = ["Hits", "SearchConfig", "SearchHit", "processes", "scan", "verify_hit
 
 # Largest max_x the kernel serves.  The float64 tables hold x^4 and y^4
 # to a relative error of 2^-53 each; subtracting lo, the sum and the
-# square root add one rounding each, and |lo| <= t < sqrt(s) is tiny
-# beside s (s > t^2 for every kernel pair), so the estimate of
-# r = sqrt(s - lo) is off by at most about 1.25 * r * 2^-52.  With
-# y <= 2^25, r <= sqrt(2) * 2^50 and that error stays below 0.45, so
-# truncating the estimate lands on r - 1, r or r + 1, which the +/-1
-# correction repairs.  x^2 <= 2^50 is exact in both tables, so x^4 is
-# rounded once.
+# square root add one rounding each, and |lo| < sqrt(s) is tiny beside s
+# (s > t^2 for a threshold kernel pair; INTERVAL_MAX_T for an exact one),
+# so the estimate of r = sqrt(s - lo) is off by at most about
+# 1.25 * r * 2^-52.  With y <= 2^25, r <= sqrt(2) * 2^50 and that error
+# stays below 0.45, so truncating the estimate lands on r - 1, r or
+# r + 1, which the +/-1 correction repairs.  x^2 <= 2^50 is exact in
+# both tables, so x^4 is rounded once.
 KERNEL_MAX_X = 2**25
 
-# Largest t = max(-lo, hi) for which the z-interval takes the band.  A
-# band pair has y^4 <= t^2, so s - lo <= 2t^2 + t < 2^52 and s - hi - 1
+# Largest t = max(-lo, hi) for which the z-interval takes the band, and
+# largest |R| whose exact window starts the kernel at y^4 > R.  A band
+# pair has y^4 <= t^2, so s - lo <= 2t^2 + t < 2^52 and s - hi - 1
 # > -2^26: exact in float64, whose square root then errs by well under
-# one, and far inside int64.
+# one, and far inside int64.  Below s = 2^53 - 2^25 an exact kernel
+# pair's x^4, y^4 - R and s - R are exact in float64 too; from there on
+# |R| <= 2^25 < sqrt(s), as the KERNEL_MAX_X bound needs.
 INTERVAL_MAX_T = 2**25
 
 # Upper bound on workers.  A scan runs processes(cfg) stripes, one
@@ -122,20 +129,13 @@ SIEVE_BLOCK_PAIRS = 2**13
 # so two processes first run at 2^22 kept pairs.
 MIN_STRIPE_PAIRS = 2**21
 
-# Cost of one window-loop pair in kept kernel pairs: a band pair took
-# 670-1520 ns against 8-10 ns per kept kernel pair (median of 5, one
-# process, 2 vCPUs; exact residual 1000003 to max_x 5000, thresholds
-# 1000 to 100000 to max_x 300-3000).
+# Cost of one band pair in kept kernel pairs, on every path.  Against
+# 10-11 ns per kept kernel pair, a band pair took 250-550 ns in the
+# z-interval for a threshold (t = 20000 and 100000, 5.7-6.5 rows each),
+# 5.5-8.5 us in the window loop for those thresholds and 440-750 ns for
+# an exact window (median of 5 in-process scans, 2 vCPUs).  An exact
+# window up to INTERVAL_MAX_T has at most 76 values of y in its band.
 BAND_PAIR_WEIGHT = 100
-
-# Cost of one z-interval pair in kept kernel pairs.  Scans whose every
-# pair is a band pair took 25-39 ns per pair for an exact window (R =
-# 1000003 to max_x 5000, R = 2^25 to max_x 2000), against 10-11 ns per
-# kept kernel pair (t = 9 to max_x 3500); median of 5 in-process scans
-# after one warm-up, 2 vCPUs.  A threshold band pair has several rows,
-# 5.7-6.5 at t = 20000 and 100000, and took 350-610 ns (60-94 ns per
-# row); the estimate leaves those rows out, as the kernel's are.
-INTERVAL_PAIR_WEIGHT = 4
 
 # Most rows a threshold may add to the band beyond one per pair, as
 # bounded by _extra_rows_bound.  Every row is held in memory until the
@@ -263,14 +263,17 @@ def _kernel_min_x(t: int) -> int:
 
 def _kernel_y_start(cfg: SearchConfig, force_exact: bool = False) -> int:
     """y0, which splits the scan: the kernel takes every pair with
-    y >= y0 and the band every pair below it.  It is the least y
-    with y^4 > t^2, so that every kernel pair has s > t^2, raised to
-    min_x and capped at max_x + 1; max_x + 1 under force_exact or past
-    KERNEL_MAX_X."""
+    y >= y0 and the band every pair below it.  It is the least y with
+    y^4 > b, raised to min_x and capped at max_x + 1; max_x + 1 under
+    force_exact or past KERNEL_MAX_X.  b is t^2, or max(R, 0) for an
+    exact window R with |R| <= INTERVAL_MAX_T: every kernel pair then
+    has s > t^2, or s > R, which makes isqrt(s - R) a z."""
     if force_exact or cfg.max_x > KERNEL_MAX_X:
         return cfg.max_x + 1
     lo, hi = cfg.window
-    return min(max(isqrt(max(-lo, hi)) + 1, cfg.min_x), cfg.max_x + 1)
+    t = max(-lo, hi)
+    b = max(lo, 0) if lo == hi and t <= INTERVAL_MAX_T else t * t
+    return min(max(isqrt(isqrt(b)) + 1, cfg.min_x), cfg.max_x + 1)
 
 
 def _extra_rows_bound(cfg: SearchConfig) -> int:
@@ -339,9 +342,10 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Column
     class's x values, over every pair with y >= y0: the square
     y0 <= x <= y <= max_x and the rectangle min_x <= x < y0 <= y <= max_x.
 
-    Valid only when every such pair has s > t^2 for t = max(-lo, hi),
-    so that its only possible hit is z = isqrt(s - lo), and the residual
-    fits int64: y0^4 > t^2.
+    Valid only when every such pair's only possible hit is
+    z = isqrt(s - lo) and the residual fits int64: y0^4 > t^2 for
+    t = max(-lo, hi), or y0^4 > max(R, 0) for an exact window R with
+    |R| <= INTERVAL_MAX_T.
     """
     lo, hi = cfg.window
     min_x, max_x = cfg.min_x, cfg.max_x
@@ -428,13 +432,6 @@ def _scan_band(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Columns:
     return tuple(map(np.concatenate, zip(*hits)))
 
 
-def _band_in_window_loop(cfg: SearchConfig, force_exact: bool = False) -> bool:
-    """Whether the window loop, not the z-interval, takes the band y < y0:
-    under force_exact, past KERNEL_MAX_X or for t above INTERVAL_MAX_T."""
-    lo, hi = cfg.window
-    return force_exact or cfg.max_x > KERNEL_MAX_X or max(-lo, hi) > INTERVAL_MAX_T
-
-
 def _scan_stripe(
     cfg: SearchConfig, index: int, stride: int, y0: int, window_loop: bool
 ) -> _Columns:
@@ -470,15 +467,13 @@ def _kept_residue_pairs(lo: int, hi: int) -> int:
 def _work(cfg: SearchConfig, force_exact: bool = False) -> int:
     """Estimated cost of a scan of cfg in kept kernel pairs: the kernel's
     pairs (y >= y0) times the share the sieve keeps, rounded up, plus
-    each band pair (y < y0) at BAND_PAIR_WEIGHT in the window loop or
-    INTERVAL_PAIR_WEIGHT in the z-interval."""
+    each band pair (y < y0) at BAND_PAIR_WEIGHT."""
     m = SIEVE_MODULUS
     y0 = _kernel_y_start(cfg, force_exact)
     n = cfg.max_x - cfg.min_x + 1
     band = (y0 - cfg.min_x) * (y0 - cfg.min_x + 1) // 2
     kernel = n * (n + 1) // 2 - band
-    weight = BAND_PAIR_WEIGHT if _band_in_window_loop(cfg, force_exact) else INTERVAL_PAIR_WEIGHT
-    return -(-kernel * _kept_residue_pairs(*cfg.window) // m**2) + weight * band
+    return -(-kernel * _kept_residue_pairs(*cfg.window) // m**2) + BAND_PAIR_WEIGHT * band
 
 
 def processes(cfg: SearchConfig, force_exact: bool = False) -> int:
@@ -501,7 +496,9 @@ def scan(cfg: SearchConfig, force_exact: bool = False) -> Hits:
     """
     stripes = processes(cfg, force_exact)
     y0 = _kernel_y_start(cfg, force_exact)
-    window_loop = _band_in_window_loop(cfg, force_exact)
+    lo, hi = cfg.window
+    # the window loop, not the z-interval, takes the band y < y0
+    window_loop = force_exact or cfg.max_x > KERNEL_MAX_X or max(-lo, hi) > INTERVAL_MAX_T
     if stripes == 1:
         x, y, z, delta = _scan_stripe(cfg, 0, 1, y0, window_loop)
     else:

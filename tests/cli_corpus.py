@@ -45,8 +45,9 @@ WINDOWS = [
     "--min-x 3 --max-x 40 --threshold 255",
     "--min-x 100 --max-x 450 --threshold 20000",
     "--min-x 200 --max-x 330 --threshold 100000",
+    # exact residuals; y0 = isqrt(isqrt(R)) + 1 for 0 < R <= 2^25, and
+    # min_x for R <= 0
     "--min-x 5 --max-x 900 --exact-residual 72",
-    # exact residuals
     "--max-x 2000 --exact-residual -7",
     "--max-x 3000 --exact-residual 8",
     "--max-x 2000 --exact-residual 72",
@@ -55,7 +56,8 @@ WINDOWS = [
     "--max-x 1500 --exact-residual 1296",
     "--max-x 1500 --exact-residual 1000003",
     "--max-x 1500 --exact-residual -1000003",
-    # |R| = 2^25 and one past it: y0 = 5793, so x <= 400 is all band
+    # |R| = 2^25 and one past it: y0 = 77 for 2^25, and isqrt(|R|) + 1 =
+    # 5793 past it, so x <= 300 is all band and 5750..5850 crosses y0
     "--max-x 400 --exact-residual 33554432",
     "--max-x 400 --exact-residual -33554432",
     "--max-x 300 --exact-residual 33554433",
@@ -103,6 +105,9 @@ ARGVS = [
     ["search", "--max-x", "2000", "--exact-residual", "0"],
     ["search", "--max-x", "2000", "--exact-residual", "-4"],
     ["search", "--max-x", "3000", "--exact-residual", "-33554432"],
+    # both window flags, --threshold at its value when not given: exit 2
+    ["search", "--max-x", "5", "--threshold", "0", "--exact-residual", "8"],
+    ["search", "--max-x", "5", "--exact-residual", "8", "--threshold", "0"],
 ]
 
 

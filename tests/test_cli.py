@@ -189,7 +189,10 @@ def test_cli_matches_the_corpus_byte_for_byte(capsys):
     assert list(corpus) == [cli_corpus.key(argv) for argv in cli_corpus.ARGVS]
     changed = []
     for key, ref in corpus.items():
-        code, out, _ = run(capsys, *key.split())
+        try:
+            code, out, _ = run(capsys, *key.split())
+        except SystemExit as exc:  # argparse's own usage errors
+            code, out = exc.code, capsys.readouterr().out
         data = out.encode()
         if (hashlib.sha256(data).hexdigest(), len(data), code) != (
             ref["sha256"],
@@ -521,6 +524,22 @@ def test_search_threshold_and_residual_are_exclusive():
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--max-x", "10", "--threshold", "3", "--exact-residual", "8"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "window",
+    [["--threshold", "0", "--exact-residual", "8"], ["--exact-residual", "8", "--threshold", "0"]],
+    ids=["threshold-first", "residual-first"],
+)
+def test_search_threshold_zero_and_residual_are_exclusive(capsys, window):
+    # 0 is the threshold's value when it is not given, yet given it
+    # conflicts with --exact-residual as any other value does
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--max-x", "5", *window])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "not allowed with argument" in captured.err
+    assert run(capsys, "search", "--max-x", "5", "--threshold", "0")[:2] == (0, "")
 
 
 def test_search_workers_above_cap_is_usage_error(capsys):

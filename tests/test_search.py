@@ -433,17 +433,16 @@ def test_processes_follow_the_kept_work(monkeypatch):
     t9 = SearchConfig(max_x=3500, threshold=9, workers=8)
     r8 = SearchConfig(max_x=3500, exact_residual=8, workers=8)
     assert (search.processes(t9), search.processes(r8)) == (2, 1)
-    # residual 1000003 leaves the kernel nothing, and 500,500 pairs to the
-    # band: at INTERVAL_PAIR_WEIGHT each in the z-interval, too little
-    # for a pool, and at BAND_PAIR_WEIGHT each in the window loop, which
-    # takes all 12,502,500 pairs under force_exact
+    # the sieve leaves residual 1000003 no kernel pair, and its band,
+    # y < 32, holds 496 pairs, at BAND_PAIR_WEIGHT each: too little for a
+    # pool.  The window loop takes all 12,502,500 pairs under force_exact
     band = SearchConfig(max_x=5000, exact_residual=1000003, workers=8)
     assert search._kept_residue_pairs(*band.window) == 0
-    assert search._work(band) == 500500 * search.INTERVAL_PAIR_WEIGHT
+    assert search._work(band) == 496 * search.BAND_PAIR_WEIGHT
     assert search.processes(band) == 1
     assert search._work(band, force_exact=True) == 12502500 * search.BAND_PAIR_WEIGHT
     assert search.processes(band, force_exact=True) == 8
-    # past INTERVAL_MAX_T the window loop takes the band again
+    # past INTERVAL_MAX_T the band is y < isqrt(|R|) + 1 again
     wide = SearchConfig(max_x=400, exact_residual=2**25 + 1, workers=8)
     assert search._work(wide) == 400 * 401 // 2 * search.BAND_PAIR_WEIGHT
     # so does every pair of a forced window-loop scan
@@ -455,6 +454,8 @@ def test_processes_follow_the_kept_work(monkeypatch):
         (SearchConfig(min_x=51948, max_x=52967, exact_residual=8, workers=2), 1),
         (SearchConfig(max_x=400, threshold=20000, workers=2), 1),
         (SearchConfig(max_x=10000, exact_residual=8, workers=2), 2),
+        # a threshold band of 50,086 pairs, 5.0M kept pairs of work
+        (SearchConfig(max_x=1000, threshold=100000, workers=2), 2),
         (SearchConfig(max_x=20000, exact_residual=8, workers=8), 8),
     ):
         assert search.processes(cfg) == ran
@@ -525,8 +526,7 @@ def test_sieve_matches_exact(window):
 @pytest.mark.parametrize("residual", [8, -7, 72, 0])
 def test_sieve_matches_exact_across_periods(residual):
     # pairs x < y in one class mod 432 exist only on ranges longer than
-    # 432; min_x 5 leaves the range unaligned to the period and starts
-    # it in the window loop for residual 72
+    # 432; min_x 5 leaves the range unaligned to the period
     cfg = SearchConfig(min_x=5, max_x=5 + 2 * SIEVE_MODULUS, exact_residual=residual)
     assert scan(cfg) == scan(cfg, force_exact=True)
 
@@ -627,17 +627,36 @@ def test_force_exact_runs_no_sieve(monkeypatch):
 
 
 def test_kernel_y_start():
-    # y0 is the least y with y^4 > t^2, also for t a perfect square
-    for t in (0, 1, 7, 8, 9, 16, 20, 50, 239, 300, 1296, 20000, 10**6 + 3, 10**12):
+    # y0 is the least y with y^4 > b, also for b a perfect fourth power:
+    # b = t^2 for a threshold t, max(R, 0) for an exact residual R up to
+    # |R| = INTERVAL_MAX_T, and R^2 past it
+    for t in (0, 1, 7, 8, 9, 16, 20, 50, 239, 300, 1296, 20000):
+        y = _kernel_y_start(SearchConfig(max_x=10**7, threshold=t))
+        assert y**4 > t * t >= (y - 1) ** 4
+    for t in (0, 1, 15, 16, 17, 1293, 1296, 4096, 10**6 + 3, INTERVAL_MAX_T - 1, INTERVAL_MAX_T):
+        for residual in (t, -t):
+            y = _kernel_y_start(SearchConfig(max_x=10**7, exact_residual=residual))
+            assert y**4 > max(residual, 0) >= (y - 1) ** 4
+    for t in (INTERVAL_MAX_T + 1, 10**12):
         for residual in (t, -t):
             y = _kernel_y_start(SearchConfig(max_x=10**7, exact_residual=residual))
             assert y**4 > t * t >= (y - 1) ** 4
+    # both sides of |R| = INTERVAL_MAX_T = 2^25: 76^4 <= 2^25 < 77^4, and
+    # 5792^2 <= 2^25 < 5793^2
+    for residual, y0 in (
+        (INTERVAL_MAX_T, 77),
+        (-INTERVAL_MAX_T, 1),
+        (INTERVAL_MAX_T + 1, 5793),
+        (-INTERVAL_MAX_T - 1, 5793),
+    ):
+        assert _kernel_y_start(SearchConfig(max_x=10**4, exact_residual=residual)) == y0
     # raised to min_x, capped at max_x + 1
     assert _kernel_y_start(SearchConfig(min_x=50, max_x=60, threshold=300)) == 50
+    assert _kernel_y_start(SearchConfig(min_x=50, max_x=60, exact_residual=-300)) == 50
     assert _kernel_y_start(SearchConfig(max_x=10, threshold=300)) == 11
     # max_x + 1 under force_exact and past KERNEL_MAX_X
     cfg = SearchConfig(max_x=7000, exact_residual=8)
-    assert _kernel_y_start(cfg) == 3 and _kernel_y_start(cfg, force_exact=True) == 7001
+    assert _kernel_y_start(cfg) == 2 and _kernel_y_start(cfg, force_exact=True) == 7001
     cfg = SearchConfig(min_x=KERNEL_MAX_X, max_x=KERNEL_MAX_X + 1, exact_residual=8)
     assert _kernel_y_start(cfg) == KERNEL_MAX_X + 2
 
@@ -654,12 +673,13 @@ def test_pairs_below_y0_stay_in_the_window_loop():
 
 def test_band_takes_only_the_corner(monkeypatch):
     # the band takes the pairs with y < y0, x from 1 to y0 - 1, and the
-    # kernel every y from y0 on: y0 = 3 for residual 8, the pairs (1, 1),
-    # (1, 2) and (2, 2); y0 = 18 for t = 300, although 2*x^4 > t^2 from
-    # x0 = 15 on; y0 = 142 for t = 20000 (x0 = 119)
+    # kernel every y from y0 on: y0 = 2 for residual 8, the pair (1, 1),
+    # which has no row, while (1, 2, 3, 8) is the kernel's; y0 = 18 for
+    # t = 300, although 2*x^4 > t^2 from x0 = 15 on; y0 = 142 for
+    # t = 20000 (x0 = 119)
     calls = recording_band(monkeypatch)
     hits = scan(SearchConfig(max_x=7000, exact_residual=8))
-    assert calls == [(3, 0, 1, [(1, 2, 3, 8)])]
+    assert calls == [(2, 0, 1, [])]
     assert {(1, 2, 3, 8), (22, 23, 717, 8), (1058, 1103, 1653213, 8)} <= set(hits)
     for cfg, y0 in (
         (SearchConfig(max_x=1200, threshold=300), 18),
@@ -701,25 +721,25 @@ def test_rectangle_pairs_every_class(window, hit, below):
 
 @st.composite
 def corner_windows(draw):
-    """(min_x, max_x, window) over ranges that cross y0: t = max(-lo, hi)
-    from k^2 to k^2 + 2k, where isqrt(t) = k and y0 = k + 1, with min_x
-    below x0 or in the band [x0, y0) (x0 <= k for k >= 5), or the nearest
-    residual of a pair (x, y) with x < y0 and y past 432."""
+    """(min_x, max_x, window) over ranges that cross y0 = k + 1: a
+    threshold t from k^2 to k^2 + 2k, where isqrt(t) = k, with min_x
+    below x0 or in the band [x0, y0) (x0 <= k for k >= 5), or an exact
+    residual from k^4 to (k + 1)^4 - 1; or the nearest residual R > 0 of
+    a pair (x, y) with x < y0 and y past 432."""
     if draw(st.booleans()):
         k = draw(st.integers(1, 40))
-        t = k * k + draw(st.integers(0, 2 * k))
-        fields = draw(
-            st.sampled_from([{"threshold": t}, {"exact_residual": t}, {"exact_residual": -t}])
-        )
+        if draw(st.booleans()):
+            fields = {"threshold": k * k + draw(st.integers(0, 2 * k))}
+        else:
+            fields = {"exact_residual": draw(st.integers(k**4, (k + 1) ** 4 - 1))}
         min_x = draw(st.integers(1, k))
         max_x = draw(st.integers(k + 1, k + 1 + 2 * SIEVE_MODULUS))
         return min_x, max_x, fields
-    x = draw(st.integers(1, 60))
+    x = draw(st.integers(1, 21))
     y = SIEVE_MODULUS + draw(st.integers(0, 60))
     s = x**4 + y**4
-    r = math.isqrt(s)
-    residual = draw(st.sampled_from([s - r * r, s - (r + 1) ** 2]))
-    assume(x**4 <= residual**2 < y**4)  # x < y0 <= y
+    residual = s - math.isqrt(s) ** 2
+    assume(x**4 <= residual < y**4)  # x < y0 <= y
     return draw(st.integers(1, x)), y + draw(st.integers(0, 30)), {"exact_residual": residual}
 
 
@@ -755,14 +775,15 @@ def band_windows(draw):
     """(min_x, max_x, window) over at most 41 values of x from inside the
     band y < y0: t = max(-lo, hi) up to INTERVAL_MAX_T, and pinned at it
     and one past it, as a threshold (from an x where a pair has a few
-    rows at most) or an exact residual +/-t; or a residual R at or near
-    x^4 + y^4 of a small pair, so that s - R is tiny or negative."""
+    rows at most), an exact residual t, or -t past INTERVAL_MAX_T; or a
+    residual R > 0 at or near x^4 + y^4 of a small pair, so that s - R is
+    tiny or negative."""
     kind = draw(st.sampled_from(["threshold", "residual", "near"]))
     if kind == "near":
         x = draw(st.integers(1, 60))
         y = draw(st.integers(x, 60))
         residual = x**4 + y**4 - draw(st.integers(-3, 10))
-        assume(residual != 0)  # y0 = 1 then: no band
+        assume(residual > 0)  # y0 = min_x for R <= 0: no band
         return draw(st.integers(1, x)), y + draw(st.integers(0, 20)), {"exact_residual": residual}
     t = draw(
         st.one_of(
@@ -773,8 +794,12 @@ def band_windows(draw):
     )
     y0 = math.isqrt(t) + 1
     if kind == "residual":
+        if t <= INTERVAL_MAX_T:
+            y0, residual = math.isqrt(math.isqrt(t)) + 1, t  # the least y with y^4 > t
+        else:
+            residual = draw(st.sampled_from([t, -t]))
         min_x = draw(st.integers(1, y0 - 1))
-        window = {"exact_residual": draw(st.sampled_from([t, -t]))}
+        window = {"exact_residual": residual}
     else:
         # x^2 > t/8 leaves a pair at most about 1 + sqrt(2) * 8 rows
         min_x = draw(st.integers(1 if t <= 3000 else math.isqrt(t // 8) + 1, y0 - 1))
@@ -796,20 +821,73 @@ def test_band_matches_exact(monkeypatch, in_process_pool, pool_at_any_size, wind
         assert scan(replace(cfg, workers=workers)) == expected
 
 
+@st.composite
+def fourth_root_windows(draw):
+    """(min_x, max_x, R, y0): R = y^4 - j, 1 <= j <= y^4 - (y - 1)^4, so
+    that (y - 1)^4 <= R < y^4 and y0 = y, for y up to 76, where R stays
+    below INTERVAL_MAX_T; the kernel's pair (1, y) then has s - R = j + 1,
+    as small as 2, and j = k^2 - 1 makes it hit at z = k.  Or R from
+    -10^4 to 0, where the kernel takes every pair: y0 = min_x."""
+    if draw(st.booleans()):
+        y = draw(st.integers(2, 76))
+        width = y**4 - (y - 1) ** 4
+        j = draw(
+            st.one_of(
+                st.integers(1, width),
+                st.integers(2, math.isqrt(width + 1)).map(lambda k: k * k - 1),
+            )
+        )
+        return draw(st.integers(1, y)), y + draw(st.integers(0, 150)), y**4 - j, y
+    min_x = draw(st.integers(1, 200))
+    return min_x, min_x + draw(st.integers(0, 150)), draw(st.integers(-(10**4), 0)), min_x
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(fourth_root_windows())
+def test_exact_kernel_starts_at_the_fourth_root(
+    monkeypatch, in_process_pool, pool_at_any_size, window
+):
+    monkeypatch.setattr(search, "_cpus", lambda: 2)
+    min_x, max_x, residual, y0 = window
+    cfg = SearchConfig(min_x=min_x, max_x=max_x, exact_residual=residual)
+    assert _kernel_y_start(cfg) == y0
+    expected = scan(cfg, force_exact=True)
+    for workers in (1, 2):
+        assert scan(replace(cfg, workers=workers)) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    min_x=st.one_of(st.integers(1, 3000), st.integers(1, KERNEL_MAX_X - 2000)),
+    width=st.integers(0, 2000),
+)
+def test_residual_zero_is_always_empty(min_x, width):
+    # x^4 + y^4 = z^2 has no solution in positive integers (Fermat); for
+    # R = 0 the kernel takes every pair
+    cfg = SearchConfig(min_x=min_x, max_x=min_x + width, exact_residual=0)
+    assert _kernel_y_start(cfg) == min_x
+    assert scan(cfg) == []
+
+
 @pytest.mark.parametrize(
-    "cfg, interval",
+    "cfg, interval, in_band",
     [
-        # (64, 64, 8192) hits: 2 * 64^4 - 8192^2 = -2^25
-        (SearchConfig(max_x=100, exact_residual=-INTERVAL_MAX_T), True),
-        (SearchConfig(max_x=100, exact_residual=INTERVAL_MAX_T + 1), False),  # (1, 96, 7168)
-        (SearchConfig(min_x=5700, max_x=5900, threshold=INTERVAL_MAX_T), True),
-        (SearchConfig(min_x=5700, max_x=5900, threshold=INTERVAL_MAX_T + 1), False),
+        # the band y < 77 holds no hit; (52, 77, 2985) is the kernel's
+        (SearchConfig(max_x=100, exact_residual=INTERVAL_MAX_T), True, 0),
+        # the band y < 5793 holds all of x <= 100, and (1, 96, 7168) hits
+        (SearchConfig(max_x=100, exact_residual=INTERVAL_MAX_T + 1), False, 1),
+        (SearchConfig(min_x=5700, max_x=5900, threshold=INTERVAL_MAX_T), True, 3133),
+        (SearchConfig(min_x=5700, max_x=5900, threshold=INTERVAL_MAX_T + 1), False, 3133),
     ],
     ids=["residual-2^25", "residual-2^25+1", "threshold-2^25", "threshold-2^25+1"],
 )
-def test_interval_takes_the_band_up_to_its_bound(monkeypatch, cfg, interval):
+def test_interval_takes_the_band_up_to_its_bound(monkeypatch, cfg, interval, in_band):
     expected = scan(cfg, force_exact=True)
-    assert any(h.y < _kernel_y_start(cfg) for h in expected)
+    y0 = _kernel_y_start(cfg)
+    assert cfg.min_x < y0 and expected
+    assert sum(h.y < y0 for h in expected) == in_band
     calls = recording_band(monkeypatch)
     assert scan(cfg) == expected
     assert bool(calls) == interval
