@@ -108,6 +108,14 @@ ARGVS = [
     # both window flags, --threshold at its value when not given: exit 2
     ["search", "--max-x", "5", "--threshold", "0", "--exact-residual", "8"],
     ["search", "--max-x", "5", "--exact-residual", "8", "--threshold", "0"],
+    # x^4 mod 5 is 0 or 1, and squares mod 5 are 0, 1 and 4: every hit of
+    # R = 4 (mod 5) has 5 | x, y, as (50, 95, 9364) for 16129 and
+    # (35, 70, 5051) for -1976, and no hit of R = 3 (mod 5) has 5 | x or y
+    ["search", "--max-x", "2000", "--exact-residual", "16129"],
+    ["search", "--min-x", "15", "--max-x", "2000", "--exact-residual", "16129", "--format", "jsonl"],
+    ["search", "--max-x", "2000", "--exact-residual", "-1976"],
+    ["search", "--min-x", "20", "--max-x", "3000", "--exact-residual", "8"],
+    ["search", "--min-x", "1000", "--max-x", "3000", "--exact-residual", "8", "--workers", "2"],
 ]
 
 
