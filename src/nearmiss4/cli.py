@@ -3,8 +3,10 @@
 Data rows go to stdout, diagnostics to stderr.  All numbers print as
 full decimal strings.  Exit codes: 0 success, 1 verification failure,
 2 usage error (argparse's convention), 141 (128 + SIGPIPE) when the
-reader closes stdout early, as `| head` does.  Ranges are the library's
-to check: its ValueError prints as `error: <message>`, before any output.
+reader closes stdout early, as `| head` does.  main returns the code on
+every path, --help and argparse's usage errors included, and app exits
+with it.  Ranges are the library's to check: its ValueError prints as
+`error: <message>`, before any output.
 
 TSV columns: gen -> n, x, y, z; search -> x, y, z, delta.  JSONL mirrors
 the TSV with the same field names; every field, n included, is a JSON
@@ -321,7 +323,10 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed --help or a usage error
+        return exc.code
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:

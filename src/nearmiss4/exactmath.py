@@ -195,6 +195,11 @@ class QuadElem:
     def is_rational(self) -> bool:
         return not self._b
 
+    def as_int(self) -> int | None:
+        """The element as an int, read off the canonical form without
+        building a Fraction; None unless it is an integer."""
+        return self._a if not self._b and self._den == 1 else None
+
     def __repr__(self) -> str:
         return f"QuadElem(p={self.p!r}, q={self.q!r}, d={self._d!r})"
 

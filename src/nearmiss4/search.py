@@ -30,13 +30,34 @@ The kernel runs behind a congruence sieve.  A hit means s - v = z^2 for
 some v in lo..hi, so s - v is a square mod M = SIEVE_MODULUS = 432 =
 2^4 * 3^3.  The sieve reads each x only through its class x^4 mod M,
 one of 20 values, and evaluates only the pairs whose class sum allows
-that: 10.49% of them for an exact residual 8, all of them for a
-threshold of 9 or more.  It drops only pairs that cannot hit, and every
-pair it keeps is still checked exactly.  In the square, which is
-symmetric in x and y, class g is paired with the classes g' >= g, and a
-pair of one class is kept only as x <= y; in the rectangle every y
-exceeds every x, so g is paired with every class.  The pairs run in
-blocks of at most SIEVE_BLOCK_PAIRS.
+that.  In the square, which is symmetric in x and y, class g is paired
+with the classes g' >= g, and a pair of one class is kept only as
+x <= y; in the rectangle every y exceeds every x, so g is paired with
+every class.  The pairs run in blocks of at most SIEVE_BLOCK_PAIRS.
+
+The sieve has a value level too, mod 5.  Every x^4 is 0 or 1 mod 5 and
+the squares mod 5 are 0, 1 and 4.  So for an exact residual R = 3
+(mod 5) a hit needs x^4 + y^4 = R + z^2 = 2, both fourth powers 1, and
+no hit has 5 | x or 5 | y; for R = 4 it needs x^4 + y^4 = 0, and every
+hit has 5 | x and 5 | y.  Any other R, and any window of two or more
+residues, leaves both classes a partner.  _usable derives this from the
+window as _reach does, and the kernel takes only the usable x and y
+before it forms its classes.  Together the two levels evaluate 6.72% of
+the pairs for an exact residual 8 (10.49% mod 432, times 16/25), 1.63%
+for R = 16129, and all of them for a threshold of 9 or more.  They drop
+only pairs that cannot hit, and every pair they keep is still checked
+exactly.
+
+5 is the only odd prime that can rule out a value.  A value of class c
+has a partner mod p iff z^2 = y^4 + c - R has a solution mod p.  For
+p >= 7 it has: y = z = 0 when c = R, else the curve has genus 1 and the
+Hasse-Weil bound leaves it at least p - 1 - 2*sqrt(p) > 0 affine points.
+Mod 3 every x^4 is 0 or 1, and of two consecutive residues one is a
+square.  (The tests check every odd prime below 400.)  5 is a value
+filter, not a factor of M: M = 2160 would drop the same pairs, and also
+some of R = 0 or 2 (mod 5), but it doubles the classes to 40, whose
+per-block cost makes small windows slower (see SIEVE_MODULUS), where
+the value filter costs one mask over the values.
 
 The band y < y0, where s may be at most b and a pair may hit more than
 once, is a z-interval: the hits of a pair are the z from
@@ -106,27 +127,34 @@ INTERVAL_MAX_T = 2**25
 # process each.
 MAX_WORKERS = 1024
 
-# Modulus of the congruence sieve, 2^4 * 3^3.  M = 2160 (adding the
-# factor 5) and a further split of each class by x mod 7 both measured
-# slower, at max_x 7000 and 20000 and on a 1020-wide window: the extra
-# classes cost more in per-block overhead than the pairs they drop.
+# Modulus of the congruence sieve, 2^4 * 3^3.  A further split of each
+# class by x mod 7 measured slower, at max_x 7000 and 20000 and on a
+# 1020-wide window: the extra classes cost more in per-block overhead
+# than the pairs they drop.  The factor 5 (M = 2160) measured slower
+# than the value filter (_usable), which drops the same pairs of R = 3
+# or 4 (mod 5) with no extra class.  In-process medians, 2 vCPUs,
+# M = 2160 against M = 432 with the value filter: the window
+# 51948..52967 1.2 / 0.9 ms, R = 1000003 to max_x 5000 2.3-2.6 /
+# 1.3-1.4 ms, R = 8 to max_x 7000 15.3-16.5 / 14.4-15.6 ms.
 SIEVE_MODULUS = 432
 
 # Most pairs one kernel block evaluates, and about the most pairs and
 # rows one band block holds; bounds each block's memory at any max_x,
 # and keeps its int64 temporaries (64 KB) below glibc's mmap threshold.
-# Median scans, exact residual 8, one worker, 2 vCPUs, at 2^13 / 2^14 /
-# 2^15: max_x 7000 26 / 42 / 46 ms, max_x 20000 181-197 / 245-250 /
-# 260-329 ms, the window 51948..52967 1.3 / 1.9 / 2.0 ms.
+# Median scans before the value filter, exact residual 8, one worker,
+# 2 vCPUs, at 2^13 / 2^14 / 2^15: max_x 7000 26 / 42 / 46 ms, max_x
+# 20000 181-197 / 245-250 / 260-329 ms, the window 51948..52967
+# 1.3 / 1.9 / 2.0 ms.
 SIEVE_BLOCK_PAIRS = 2**13
 
 # Least estimated work, in kept kernel pairs, that earns a scan a
 # process of its own: a scan runs at most one stripe per this many.  On
 # 2 vCPUs two processes tie with one at about 5M kept pairs, the cost of
-# a pool start (a kept pair takes 8-10 ns; exact residual 8, one scan
-# per fresh process, medians of 7, 1 / 2 workers: max_x 8000, 3.4M
-# kept, 35 / 45 ms; 10000, 5.2M, 55 / 58 ms; 12000, 7.6M, 84 / 72 ms),
-# so two processes first run at 2^22 kept pairs.
+# a pool start (a kept pair takes 10-12 ns; exact residual 8, one scan
+# per fresh process, medians of 7, 1 / 2 processes: max_x 8000, 2.1M
+# kept, 31 / 41 ms; 10000, 3.4M, 40 / 56 ms; 12000, 4.8M, 59 / 59 ms;
+# 16000, 8.6M, 102 / 79 ms), so two processes first run at 2^22 kept
+# pairs.
 MIN_STRIPE_PAIRS = 2**21
 
 # Cost of one band pair in kept kernel pairs, on every path.  Against
@@ -323,24 +351,32 @@ def _isqrt(s: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, d
 
 
-def _reach(lo: int, hi: int) -> np.ndarray:
-    """Bool vector over w mod M, M = SIEVE_MODULUS: True iff w - v is a
-    square mod M for some v in lo..hi, as a pair with (x^4 + y^4) mod M =
-    w needs to hit; True at every such sum for a threshold t >= 9."""
-    m = SIEVE_MODULUS
+def _reach(lo: int, hi: int, m: int = SIEVE_MODULUS) -> np.ndarray:
+    """Bool vector over w mod m: True iff w - v is a square mod m for some
+    v in lo..hi, as a pair with (x^4 + y^4) mod m = w needs to hit; for
+    m = SIEVE_MODULUS, True at every such sum for a threshold t >= 9."""
     k = np.arange(m, dtype=np.int64)
     is_square = np.zeros(m, dtype=bool)
     is_square[k * k % m] = True
-    shifts = (lo % m + np.arange(min(hi - lo + 1, m))) % m  # the v mod M
+    shifts = (lo % m + np.arange(min(hi - lo + 1, m))) % m  # the v mod m
     reach = np.zeros(m, dtype=bool)
     reach[(np.flatnonzero(is_square)[:, None] + shifts[None, :]) % m] = True
     return reach
 
 
+def _usable(lo: int, hi: int) -> np.ndarray:
+    """Bool vector over x mod 5: True iff x^4 + y^4 - v is a square mod 5
+    for some y and some v in lo..hi, as a value x needs to be in a hit.
+    All True unless the window is one residual R = 3 or 4 (mod 5)."""
+    c = np.arange(5) ** 4 % 5  # the class x^4 mod 5 of each x mod 5
+    return _reach(lo, hi, 5)[(c[:, None] + c) % 5].any(axis=1)
+
+
 def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Columns:
     """Hits lo <= x^4 + y^4 - z^2 <= hi, for this worker's stripe of each
-    class's x values, over every pair with y >= y0: the square
-    y0 <= x <= y <= max_x and the rectangle min_x <= x < y0 <= y <= max_x.
+    class's usable x values (_usable), over every pair of usable values
+    with y >= y0: the square y0 <= x <= y <= max_x and the rectangle
+    min_x <= x < y0 <= y <= max_x.
 
     Valid only when every such pair's only possible hit is
     z = isqrt(s - lo) and the residual fits int64: y0^4 > t^2 for
@@ -355,17 +391,21 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Column
     v = np.arange(min_x, max_x + 1, dtype=np.int64)
     p4, f4 = _pow4(v)
     u = (v % m) ** 4 % m  # the class of v: v^4 mod M, one of 20 values
-    yv, uy = v[y0 - min_x :], u[y0 - min_x :]
-    p4y = p4[y0 - min_x :] - lo  # y^4 - lo; this and the sums below wrap mod 2^64
-    f4y = f4[y0 - min_x :] - lo
+    # the indexes into v of the values that can be in a hit
+    usable = _usable(lo, hi)
+    iv = np.arange(v.size) if usable.all() else np.flatnonzero(usable[v % 5])
+    iy = iv[iv >= y0 - min_x]
+    yv, uy = v[iy], u[iy]
+    p4y = p4[iy] - lo  # y^4 - lo; this and the sums below wrap mod 2^64
+    f4y = f4[iy] - lo
     hits: list[tuple[np.ndarray, ...]] = []
-    # (x range, square?); class g is paired with the classes g' >= g in
+    # (x indexes, square?); class g is paired with the classes g' >= g in
     # the square, which is symmetric, and with every class in the
     # rectangle, where every y exceeds every x
-    for x_lo, x_end, square in ((y0, max_x + 1, True), (min_x, y0, False)):
-        ux = u[x_lo - min_x : x_end - min_x]
+    for ix, square in ((iy, True), (iv[iv < y0 - min_x], False)):
+        ux = u[ix]
         for g in np.flatnonzero(np.bincount(ux)):
-            at = x_lo - min_x + np.flatnonzero(ux == g)[index::stride]
+            at = ix[ux == g][index::stride]
             pair = reach[(g + uy) % m] & (uy >= (g if square else 0))
             if not (at.size and pair.any()):
                 continue
@@ -455,20 +495,22 @@ def _cpus() -> int:
 
 
 def _kept_residue_pairs(lo: int, hi: int) -> int:
-    """Residue pairs (a, b) mod M, of all M^2, M = SIEVE_MODULUS, that the
-    sieve keeps for the window lo..hi: 19584 for an exact residual 8, M^2
-    for a threshold t >= 9.  Counted over the 20 classes x^4 mod M."""
+    """Residue pairs (a, b) mod 5M, of all (5M)^2, M = SIEVE_MODULUS, that
+    the sieve keeps for the window lo..hi: 313344 for an exact residual 8,
+    (5M)^2 for a threshold t >= 9.  Counted over the 20 classes x^4 mod M,
+    times the pairs of usable values mod 5."""
     m = SIEVE_MODULUS
     freq = np.bincount(np.arange(m) ** 4 % m, minlength=m)
     g = np.flatnonzero(freq)
-    return int(freq[g] @ _reach(lo, hi)[(g[:, None] + g) % m] @ freq[g])
+    kept = int(freq[g] @ _reach(lo, hi)[(g[:, None] + g) % m] @ freq[g])
+    return kept * int(_usable(lo, hi).sum()) ** 2
 
 
 def _work(cfg: SearchConfig, force_exact: bool = False) -> int:
     """Estimated cost of a scan of cfg in kept kernel pairs: the kernel's
     pairs (y >= y0) times the share the sieve keeps, rounded up, plus
     each band pair (y < y0) at BAND_PAIR_WEIGHT."""
-    m = SIEVE_MODULUS
+    m = 5 * SIEVE_MODULUS
     y0 = _kernel_y_start(cfg, force_exact)
     n = cfg.max_x - cfg.min_x + 1
     band = (y0 - cfg.min_x) * (y0 - cfg.min_x + 1) // 2

@@ -150,12 +150,12 @@ def residual(x: int, y: int, z: int) -> int:
 
 
 def _exact_int(value: QuadElem, what: str) -> int:
+    n = value.as_int()
+    if n is not None:
+        return n
     if not value.is_rational():
         raise CancellationError(f"{what}: sqrt-part did not cancel, got {value}")
-    p = value.p
-    if p.denominator != 1:
-        raise CancellationError(f"{what}: non-integer rational part {p}")
-    return p.numerator
+    raise CancellationError(f"{what}: non-integer rational part {value.p}")
 
 
 class Powers(NamedTuple):

@@ -269,6 +269,24 @@ def test_rational_parts_are_reduced_fractions():
     assert QuadElem(7, 0).q == 0 and QuadElem(7, 0).q.denominator == 1
 
 
+def test_as_int_reads_only_integers():
+    assert QuadElem(Fraction(10, 2), 0).as_int() == 5
+    assert type(QuadElem(-7, 0).as_int()) is int and QuadElem(-7, 0).as_int() == -7
+    assert ZERO.as_int() == 0
+    assert (LAM1 * LAM2).as_int() == -1
+    assert (MU1 + MU2).as_int() == 2306
+    halves = (QuadElem(Fraction(3, 2), 0), QuadElem(0, Fraction(1, 3)))
+    for u in (*halves, QuadElem(5, 1), LAM1, A, E):
+        assert u.as_int() is None
+
+
+@settings(max_examples=200)
+@given(quad_st)
+def test_as_int_agrees_with_the_rational_parts(u):
+    expected = u.p.numerator if u.q == 0 and u.p.denominator == 1 else None
+    assert u.as_int() == expected
+
+
 def test_comparison_with_other_types_is_unequal():
     assert QuadElem(1, 0) != 1
     assert QuadElem(1, 0) != Fraction(1)

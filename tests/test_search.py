@@ -206,11 +206,11 @@ def test_cpus_are_those_this_process_may_run_on(monkeypatch):
     monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert search._cpus() == 1
-    assert search.processes(SearchConfig(max_x=20000, exact_residual=8, workers=8)) == 1
+    assert search.processes(SearchConfig(max_x=25000, exact_residual=8, workers=8)) == 1
     # without an affinity mask, every CPU counts, and an unknown count is 1
     monkeypatch.delattr(search.os, "sched_getaffinity")
     assert search._cpus() == 8
-    assert search.processes(SearchConfig(max_x=20000, exact_residual=8, workers=8)) == 8
+    assert search.processes(SearchConfig(max_x=25000, exact_residual=8, workers=8)) == 8
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
     assert search._cpus() == 1
 
@@ -420,16 +420,28 @@ def test_admissible_share_for_the_family_residual():
     assert not _reach(-8, 8)[CLASS_SUMS].all()
     for t in (9, 10, 50, 216, 431, 10**6):
         assert _reach(-t, t)[CLASS_SUMS].all()
-    # the share the process count reads, from the 20 classes, is the same
-    # count over all 432^2 residue pairs
-    for lo, hi in [(8, 8), (100, 100), (-8, 8)] + [(-t, t) for t in (9, 10, 50, 216, 431, 10**6)]:
-        assert search._kept_residue_pairs(lo, hi) == _reach(lo, hi)[CLASS_SUMS].sum()
+    # the share the process count reads counts all (5 * 432)^2 residue
+    # pairs.  By the CRT that is the pairs mod 432 the class sieve keeps,
+    # counted here over all 432^2 of them, times the pairs of values mod 5
+    # that have a partner: x^4 + y^4 - v is a square mod 5 for some y, v
+    windows = [(8, 8), (100, 100), (-8, 8), (16129, 16129), (-1976, -1976), (3, 4)]
+    windows += [(r, r) for r in range(5)] + [(-t, t) for t in (9, 10, 50, 216, 431, 10**6)]
+    for lo, hi in windows:
+        values = range(lo, min(hi, lo + 4) + 1)  # every v mod 5 of the window
+        usable = [
+            a
+            for a in range(5)
+            if any((a**4 + b**4 - v) % 5 in (0, 1, 4) for b in range(5) for v in values)
+        ]
+        kept = _reach(lo, hi)[CLASS_SUMS].sum() * len(usable) ** 2
+        assert search._kept_residue_pairs(lo, hi) == kept
+    assert search._kept_residue_pairs(8, 8) == 19584 * 16  # 6.72% of 2160^2
 
 
 def test_processes_follow_the_kept_work(monkeypatch):
     monkeypatch.setattr(search, "_cpus", lambda: 8)
     # the same 6,126,750 pairs: a threshold of 9 keeps every one, an exact
-    # residual 8 about 10.49% of them
+    # residual 8 about 6.72% of them
     t9 = SearchConfig(max_x=3500, threshold=9, workers=8)
     r8 = SearchConfig(max_x=3500, exact_residual=8, workers=8)
     assert (search.processes(t9), search.processes(r8)) == (2, 1)
@@ -453,10 +465,16 @@ def test_processes_follow_the_kept_work(monkeypatch):
         (SearchConfig(max_x=7000, exact_residual=8, workers=2), 1),
         (SearchConfig(min_x=51948, max_x=52967, exact_residual=8, workers=2), 1),
         (SearchConfig(max_x=400, threshold=20000, workers=2), 1),
-        (SearchConfig(max_x=10000, exact_residual=8, workers=2), 2),
+        # 3.4M kept pairs, and 4.8M: two processes tie with one near 5M
+        (SearchConfig(max_x=10000, exact_residual=8, workers=2), 1),
+        (SearchConfig(max_x=12000, exact_residual=8, workers=2), 2),
         # a threshold band of 50,086 pairs, 5.0M kept pairs of work
         (SearchConfig(max_x=1000, threshold=100000, workers=2), 2),
-        (SearchConfig(max_x=20000, exact_residual=8, workers=8), 8),
+        # 13.4M kept pairs: one process per 2^21
+        (SearchConfig(max_x=20000, exact_residual=8, workers=8), 6),
+        (SearchConfig(max_x=25000, exact_residual=8, workers=8), 8),
+        # R = 4 (mod 5) keeps 1/25 of the values' pairs: 13.0M kept pairs
+        (SearchConfig(max_x=40000, exact_residual=16129, workers=2), 2),
     ):
         assert search.processes(cfg) == ran
 
@@ -589,6 +607,68 @@ def test_kernel_windows_match_exact(monkeypatch, in_process_pool, pool_at_any_si
     cfg = SearchConfig(min_x=min_x, max_x=max_x, **fields)
     assert _kernel_y_start(cfg) == min_x  # no pair is left to the window loop
     expected = scan(cfg, force_exact=True)
+    for workers in (1, 2, 3):
+        assert scan(replace(cfg, workers=workers)) == expected
+
+
+def test_only_five_rules_out_a_value():
+    # a value of class c = x^4 mod p has a partner iff c + c' - R is a
+    # square mod p for some class c'; the kernel drops the values of a
+    # class without one, so this is every prime where that can happen
+    lonely = set()
+    for p in range(3, 400, 2):
+        if any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        classes = {k**4 % p for k in range(p)}
+        squares = {k * k % p for k in range(p)}
+        for r in range(p):
+            if not all(any((c + d - r) % p in squares for d in classes) for c in classes):
+                lonely.add((p, r))
+    assert lonely == {(5, 3), (5, 4)}
+    usable = {(x, r): search._usable(r, r)[x].item() for x in range(5) for r in range(5)}
+    # R = 3 keeps the x with x^4 = 1, R = 4 those with x^4 = 0 (mod 5)
+    assert [x for x in range(5) if usable[x, 3]] == [1, 2, 3, 4]
+    assert [x for x in range(5) if usable[x, 4]] == [0]
+    assert all(usable[x, r] for x in range(5) for r in range(3))
+    # no window of two or more residues has a value without a partner
+    for lo in range(-10, 10):
+        for width in (1, 2, 3, 5, 1000):
+            assert search._usable(lo, lo + width).all()
+
+
+@st.composite
+def residue_class_windows(draw):
+    """(min_x, max_x, R, hit) with R in a drawn class mod 5 and hit a row
+    (x, y, z, R) of the range: R = 4 from pairs with 5 | x, y, R = 3 from
+    pairs with 5 not dividing x or y, the others from any pair.  In about
+    one draw of twelve x^4 <= R, so the hit's x is below y0."""
+    k = draw(st.integers(0, 4))
+    x = draw(st.one_of(st.integers(1, 40), st.integers(1, 1000)))
+    y = x + draw(st.integers(0, 150))
+    if k == 4:
+        x, y = 5 * (x // 5 + 1), 5 * (y // 5 + 1)
+    elif k == 3:
+        x, y = x + (x % 5 == 0), y + (y % 5 == 0)
+    s = x**4 + y**4
+    r = math.isqrt(s)
+    zs = [z for z in range(max(1, r - 4), r + 6) if (s - z * z) % 5 == k]
+    assume(zs)
+    z = draw(st.sampled_from(zs))
+    min_x = draw(st.integers(max(1, x - 50), x))
+    max_x = draw(st.integers(y, y + 50))
+    return min_x, max_x, s - z * z, (x, y, z, s - z * z)
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(residue_class_windows())
+def test_value_sieve_keeps_every_hit(monkeypatch, in_process_pool, pool_at_any_size, window):
+    monkeypatch.setattr(search, "_cpus", lambda: 4)
+    min_x, max_x, residual, hit = window
+    cfg = SearchConfig(min_x=min_x, max_x=max_x, exact_residual=residual)
+    expected = scan(cfg, force_exact=True)
+    assert hit in expected
     for workers in (1, 2, 3):
         assert scan(replace(cfg, workers=workers)) == expected
 

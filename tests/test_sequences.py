@@ -194,6 +194,16 @@ def test_perturbed_constants_break_cancellation():
         closed_form_z(0, replace(k, g=k.g - 1000))
 
 
+def test_cancellation_errors_name_what_is_left_over():
+    k = canonical_constants()
+    with pytest.raises(CancellationError) as exc:
+        closed_form_xy(0, replace(k, a=k.a + QuadElem(0, 1)))
+    assert str(exc.value) == "x_0: sqrt-part did not cancel, got 22 + 1*sqrt(577)"
+    with pytest.raises(CancellationError) as exc:
+        closed_form_xy(0, replace(k, c=k.c + Fraction(1, 2)))
+    assert str(exc.value) == "y_0: non-integer rational part 47/2"
+
+
 def test_perturbed_g_by_integer_shifts_z():
     # g -> g + 1 keeps integrality but moves the value; closed form must
     # then disagree with the recurrence rather than raise
