@@ -3,28 +3,32 @@
 A hit is a pair min_x <= x <= y <= max_x and a z >= 1 whose residual
 s - z^2, s = x^4 + y^4, lies in the configured window [lo, hi]: (R, R)
 for an exact residual R, (-t, t) for a threshold t.  So the hits of a
-pair are exactly the z with s - hi <= z^2 <= s - lo, and none exceeds
-r = isqrt(s - lo).  Let t = max(-lo, hi) and s > t^2.  Two hits z - 1
-and z would need 2z - 1 <= hi - lo <= 2t, so z <= t, and
-(z - 1)^2 >= s - hi > t^2 - t, which no such z >= 1 meets; so the pair
-has at most one hit.  If z hits, r^2 >= z^2 >= s - hi, so r hits too.
-In this regime r is therefore the one candidate: the pair hits iff
-s - lo - r^2 <= hi - lo, and its residual is s - r^2.
+pair are exactly the z with s - hi <= z^2 <= s - lo: every z from
+z_lo = isqrt(s - hi - 1) + 1 (or 1, when s <= hi) up to r = isqrt(s - lo).
+The pair hits iff r >= 1 and d = s - lo - r^2 <= hi - lo, and it also
+hits at r - 1 iff 2r - 1 <= (hi - lo) - d.  Let t = max(-lo, hi).  Two
+hits z - 1 and z need 2z - 1 <= hi - lo <= 2t, so z <= t, and
+(z - 1)^2 >= s - hi, so s <= (t - 1)^2 + t <= t^2: a pair with s > t^2
+has at most one hit, and an exact window, hi = lo, never more than one.
 
-An exact window needs no regime: hi = lo, so its one candidate is
-always r.  The scan takes the regime as y >= y0, the least y with
-y^4 > b, so that s >= y^4 > b: b = t^2, or max(R, 0) for an exact
-residual |R| <= INTERVAL_MAX_T, which keeps r >= 1.  That one number
-splits the scan: one vectorized kernel takes every pair with y >= y0,
-for every window, over the square y0 <= x <= y and the rectangle
-x < y0 <= y.  It forms s - lo in int64 and lets it wrap mod 2^64,
-estimates r as sqrt(x^4 + y^4 - lo) in float64, and forms
+One number, y0, splits the scan: the least y with y^4 > b, where
+b = max(lo, 0) for t <= INTERVAL_MAX_T and b = t^2 past it.  So y0 is
+min_x for a threshold up to INTERVAL_MAX_T and the least y with y^4 > R
+for an exact residual R up to it; every pair with y >= y0 has s > b, so
+s > R and r >= 1, or at most one hit.  One vectorized kernel takes every
+pair with y >= y0, for every window, over the square y0 <= x <= y and
+the rectangle x < y0 <= y.  It forms s - lo in int64 and lets it wrap
+mod 2^64, estimates r as sqrt(x^4 + y^4 - lo) in float64, and forms
 d = s - lo - r*r, which wraps too.  The wrapped d is nevertheless
 exact: r is off by at most one, so the true |s - lo - r^2| is at most
 4r + 3, far below 2^63, and a value below 2^63 survives reduction mod
 2^64 unchanged.  Moving r by one where d < 0 or d > 2r then makes
 r = isqrt(s - lo) exactly.  The float estimate errs by well under one
-up to KERNEL_MAX_X.
+up to KERNEL_MAX_X.  A pair that hits at r - 1 too has s <= t^2, so
+t <= INTERVAL_MAX_T, and r <= t, so s - hi - 1 < 2^52 is exact in
+float64 and int64: the kernel takes its z_lo by one more float square
+root and +/-1 step.  It returns each hit pair as one row: z_lo, the
+residual s - z_lo^2 and the pair's count of hits, n = r - z_lo + 1.
 
 The kernel runs behind a congruence sieve.  A hit means s - v = z^2 for
 some v in lo..hi, so s - v is a square mod M = SIEVE_MODULUS = 432 =
@@ -59,33 +63,26 @@ some of R = 0 or 2 (mod 5), but it doubles the classes to 40, whose
 per-block cost makes small windows slower (see SIEVE_MODULUS), where
 the value filter costs one mask over the values.
 
-The band y < y0, where s may be at most b and a pair may hit more than
-once, is a z-interval: the hits of a pair are the z from
-isqrt(s - hi - 1) + 1 (or 1, when s <= hi) to isqrt(s - lo).  It holds
-y <= R^(1/4) for an exact window, at most 76 values, none for R <= 0.
-Band pairs have y^4 <= t^2, so for t <= INTERVAL_MAX_T = 2^25,
-s - lo <= 2t^2 + t < 2^52: every value is exact in float64 and int64,
-and a float square root with one +/-1 step is the exact isqrt.  Each
-block of pairs is expanded with np.repeat into one row per z.
-
-The pure-Python window loop tries the same z-interval pair by pair in
-big ints.  It is the reference the kernel and the z-interval are tested
-against, and it takes the band for t above INTERVAL_MAX_T, and every pair
-under force_exact or when max_x is above KERNEL_MAX_X (y0 is then
-max_x + 1).  Threshold configs for which the band could emit more than
-MAX_WINDOW_ROWS rows beyond one per pair are refused before anything
-runs.
+The pure-Python window loop tries the z from z_lo to r pair by pair in
+big ints, one row per z.  It is the reference the kernel is tested
+against, and it takes the band y < y0: y <= R^(1/4) for an exact
+residual 0 < R <= INTERVAL_MAX_T, at most 76 values of y and 2926 pairs;
+y <= sqrt(t) past INTERVAL_MAX_T; and every pair under force_exact or
+when max_x is above KERNEL_MAX_X (y0 is then max_x + 1).  Threshold
+configs that could emit more than MAX_WINDOW_ROWS rows beyond one per
+pair are refused before anything runs.
 
 The x values of the band and of each class of each kernel region are
 split into interleaved stripes, one process each, at most one per CPU
 this process may run on, one per x and one per MIN_STRIPE_PAIRS of
 estimated work, so a scan too small to repay a process start runs in
 the calling process whatever the worker count.  Every stripe returns
-four columns x, y, z, delta: int64, or object where a window-loop value
-passes int64.  scan merges them with one stable lexsort into (y, x, z)
-order, so the output is independent of the worker count, and returns
-them as Hits, a read-only sequence that builds a SearchHit only for a
-row that is read.
+five columns x, y, z, delta, n: int64, or object where a window-loop
+value passes int64; a window-loop row has n = 1.  scan merges them with
+one stable lexsort into (y, x) order, so the output is independent of
+the worker count, expands each row into its n rows, z counting up, and
+returns them as Hits, a read-only sequence that builds a SearchHit only
+for a row that is read.
 """
 
 from __future__ import annotations
@@ -105,22 +102,24 @@ __all__ = ["Hits", "SearchConfig", "SearchHit", "processes", "scan", "verify_hit
 
 # Largest max_x the kernel serves.  The float64 tables hold x^4 and y^4
 # to a relative error of 2^-53 each; subtracting lo, the sum and the
-# square root add one rounding each, and |lo| < sqrt(s) is tiny beside s
-# (s > t^2 for a threshold kernel pair; INTERVAL_MAX_T for an exact one),
-# so the estimate of r = sqrt(s - lo) is off by at most about
-# 1.25 * r * 2^-52.  With y <= 2^25, r <= sqrt(2) * 2^50 and that error
-# stays below 0.45, so truncating the estimate lands on r - 1, r or
-# r + 1, which the +/-1 correction repairs.  x^2 <= 2^50 is exact in
-# both tables, so x^4 is rounded once.
+# square root add one rounding each.  A kernel pair has every value
+# exact in float64, as a threshold pair with s <= t^2 does (see
+# INTERVAL_MAX_T), or |lo| < sqrt(s), tiny beside s (s > t^2 for any
+# other threshold pair), so the estimate of r = sqrt(s - lo) is off by
+# at most about 1.25 * r * 2^-52.  With y <= 2^25, r <= sqrt(2) * 2^50
+# and that error stays below 0.45, so truncating the estimate lands on
+# r - 1, r or r + 1, which the +/-1 correction repairs.  x^2 <= 2^50 is
+# exact in both tables, so x^4 is rounded once.
 KERNEL_MAX_X = 2**25
 
-# Largest t = max(-lo, hi) for which the z-interval takes the band, and
-# largest |R| whose exact window starts the kernel at y^4 > R.  A band
-# pair has y^4 <= t^2, so s - lo <= 2t^2 + t < 2^52 and s - hi - 1
-# > -2^26: exact in float64, whose square root then errs by well under
-# one, and far inside int64.  Below s = 2^53 - 2^25 an exact kernel
-# pair's x^4, y^4 - R and s - R are exact in float64 too; from there on
-# |R| <= 2^25 < sqrt(s), as the KERNEL_MAX_X bound needs.
+# Largest t = max(-lo, hi) whose window starts the kernel at
+# y^4 > max(lo, 0): at min_x for a threshold, at y^4 > R for an exact
+# residual R.  A pair with several hits has r <= t, so s - hi - 1 <
+# (t + 1)^2 < 2^52, and a threshold pair with s <= t^2 has s + t < 2^52:
+# exact in float64, whose square root then errs by well under one, and
+# far inside int64.  Below s = 2^53 - 2^25 an exact kernel pair's x^4,
+# y^4 - R and s - R are exact in float64 too; from there on |R| <= 2^25
+# < sqrt(s), as the KERNEL_MAX_X bound needs.
 INTERVAL_MAX_T = 2**25
 
 # Upper bound on workers.  A scan runs processes(cfg) stripes, one
@@ -138,9 +137,9 @@ MAX_WORKERS = 1024
 # 1.3-1.4 ms, R = 8 to max_x 7000 15.3-16.5 / 14.4-15.6 ms.
 SIEVE_MODULUS = 432
 
-# Most pairs one kernel block evaluates, and about the most pairs and
-# rows one band block holds; bounds each block's memory at any max_x,
-# and keeps its int64 temporaries (64 KB) below glibc's mmap threshold.
+# Most pairs one kernel block evaluates; bounds each block's memory at
+# any max_x, and keeps its int64 temporaries (64 KB) below glibc's mmap
+# threshold.
 # Median scans before the value filter, exact residual 8, one worker,
 # 2 vCPUs, at 2^13 / 2^14 / 2^15: max_x 7000 26 / 42 / 46 ms, max_x
 # 20000 181-197 / 245-250 / 260-329 ms, the window 51948..52967
@@ -157,21 +156,20 @@ SIEVE_BLOCK_PAIRS = 2**13
 # pairs.
 MIN_STRIPE_PAIRS = 2**21
 
-# Cost of one band pair in kept kernel pairs, on every path.  Against
-# 10-11 ns per kept kernel pair, a band pair took 250-550 ns in the
-# z-interval for a threshold (t = 20000 and 100000, 5.7-6.5 rows each),
-# 5.5-8.5 us in the window loop for those thresholds and 440-750 ns for
-# an exact window (median of 5 in-process scans, 2 vCPUs).  An exact
-# window up to INTERVAL_MAX_T has at most 76 values of y in its band.
+# Cost of one band pair, which the window loop takes, in kept kernel
+# pairs.  Against 10-11 ns per kept kernel pair, a window-loop pair took
+# 440-750 ns for an exact window and 5.5-8.5 us for a threshold (t =
+# 20000 and 100000, 5.7-6.5 rows each; median of 5 in-process scans,
+# 2 vCPUs).  An exact window up to INTERVAL_MAX_T has at most 2926 band
+# pairs, and a threshold has band pairs only past it.
 BAND_PAIR_WEIGHT = 100
 
-# Most rows a threshold may add to the band beyond one per pair, as
-# bounded by _extra_rows_bound.  Every row is held in memory until the
-# scan ends, as four int64 columns, and a scan peaks at about 86 bytes
-# per row: `search --threshold 100000 --max-x 3000`, 571,035 rows,
-# peaks at 78 MB in a fresh process, 32 MB of it the interpreter and
-# numpy (183 MB, 277 bytes per row, when each row was a Python tuple).
-# So 10^7 extra rows take about 0.9 GB.
+# Most rows a threshold scan may add beyond one per pair, as bounded by
+# _extra_rows_bound.  Every row is held in memory until the scan ends,
+# as four int64 columns, and a scan peaks at about 83 bytes per row:
+# `search --threshold 100000 --max-x 3000`, 571,035 rows, peaks at 79 MB
+# in a fresh process, 32 MB of it the interpreter and numpy.  So 10^7
+# extra rows take about 0.9 GB.
 MAX_WINDOW_ROWS = 10**7
 
 
@@ -252,8 +250,8 @@ class Hits(Sequence[SearchHit]):
         return f"Hits({list(self)!r})"
 
 
-_Row = tuple[int, int, int, int]
-_Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+_Row = tuple[int, int, int, int, int]
+_Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _scan_x_exact(x: int, y_end: int, lo: int, hi: int) -> list[_Row]:
@@ -266,15 +264,15 @@ def _scan_x_exact(x: int, y_end: int, lo: int, hi: int) -> list[_Row]:
             continue
         z_lo = isqrt(s - hi - 1) + 1 if s > hi else 1
         for z in range(z_lo, isqrt(s - lo) + 1):
-            rows.append((x, y, z, s - z * z))
+            rows.append((x, y, z, s - z * z, 1))
     return rows
 
 
 def _columns(rows: list[_Row]) -> _Columns:
-    """The window loop's rows as columns x, y, z, delta: int64 where every
-    value of the column fits, else object."""
+    """The window loop's rows as columns x, y, z, delta, n: int64 where
+    every value of the column fits, else object."""
     columns = []
-    for values in zip(*rows) if rows else [()] * 4:
+    for values in zip(*rows) if rows else [()] * 5:
         try:
             columns.append(np.array(values, dtype=np.int64))
         except OverflowError:
@@ -291,25 +289,25 @@ def _kernel_min_x(t: int) -> int:
 
 def _kernel_y_start(cfg: SearchConfig, force_exact: bool = False) -> int:
     """y0, which splits the scan: the kernel takes every pair with
-    y >= y0 and the band every pair below it.  It is the least y with
-    y^4 > b, raised to min_x and capped at max_x + 1; max_x + 1 under
-    force_exact or past KERNEL_MAX_X.  b is t^2, or max(R, 0) for an
-    exact window R with |R| <= INTERVAL_MAX_T: every kernel pair then
-    has s > t^2, or s > R, which makes isqrt(s - R) a z."""
+    y >= y0 and the window loop every pair below it.  It is the least y
+    with y^4 > b, raised to min_x and capped at max_x + 1; max_x + 1
+    under force_exact or past KERNEL_MAX_X.  b is max(lo, 0) for
+    t = max(-lo, hi) <= INTERVAL_MAX_T, so that isqrt(s - lo) is a z of
+    every kernel pair, and t^2 past it, so that it is the only one."""
     if force_exact or cfg.max_x > KERNEL_MAX_X:
         return cfg.max_x + 1
     lo, hi = cfg.window
     t = max(-lo, hi)
-    b = max(lo, 0) if lo == hi and t <= INTERVAL_MAX_T else t * t
+    b = max(lo, 0) if t <= INTERVAL_MAX_T else t * t
     return min(max(isqrt(isqrt(b)) + 1, cfg.min_x), cfg.max_x + 1)
 
 
 def _extra_rows_bound(cfg: SearchConfig) -> int:
-    """Upper bound on the rows the band emits beyond one per pair, for a
+    """Upper bound on the rows a scan emits beyond one per pair, for a
     threshold t.  Only a pair with x < x0 = _kernel_min_x(t) can hit
-    twice.  The bound counts every y for each such x, and for every x
-    when max_x is above KERNEL_MAX_X, though the band holds only the y
-    below y0: it holds, loosely.
+    twice, as 2*x^4 > t^2 leaves it s > t^2.  The bound counts every y
+    for each such x, and for every x when max_x is above KERNEL_MAX_X:
+    it holds, loosely.
 
     The hits of a pair are the z with s - t <= z^2 <= s + t, at most
     1 + sqrt(s + t) - sqrt(max(s - t, 0)) of them.  That difference is
@@ -376,12 +374,11 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Column
     """Hits lo <= x^4 + y^4 - z^2 <= hi, for this worker's stripe of each
     class's usable x values (_usable), over every pair of usable values
     with y >= y0: the square y0 <= x <= y <= max_x and the rectangle
-    min_x <= x < y0 <= y <= max_x.
+    min_x <= x < y0 <= y <= max_x.  One row per hit pair: x, y, its least
+    z, the residual there and its count n of hits.
 
-    Valid only when every such pair's only possible hit is
-    z = isqrt(s - lo) and the residual fits int64: y0^4 > t^2 for
-    t = max(-lo, hi), or y0^4 > max(R, 0) for an exact window R with
-    |R| <= INTERVAL_MAX_T.
+    Valid only for y0 = _kernel_y_start(cfg): then isqrt(s - lo) is a z
+    of every pair, and every value the kernel forms is exact.
     """
     lo, hi = cfg.window
     min_x, max_x = cfg.min_x, cfg.max_x
@@ -421,66 +418,33 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Column
                         (f4x[i : i + h, None] + f4s[None, j : j + w]).ravel(),
                     )
                     k = np.flatnonzero(d <= span)  # d = s - lo - r^2 >= 0
-                    if k.size:
-                        hits.append((xs[i + k // width], ys[j + k % width], r[k], d[k]))
+                    if not k.size:
+                        continue
+                    r, d, n = r[k], d[k], np.ones(k.size, dtype=np.int64)
+                    # the pairs that hit at r - 1 too: 2r - 1 <= span - d
+                    # needs r <= t, so s - hi - 1 < 2^52 is exact in float
+                    many = np.flatnonzero(2 * r - 1 <= span - d)
+                    if many.size:
+                        r2 = r[many] * r[many]
+                        a = np.maximum(r2 + d[many] - span - 1, 0)  # s - hi - 1
+                        z = _isqrt(a, a.astype(np.float64))[0] + 1
+                        n[many] = r[many] - z + 1
+                        d[many] += r2 - z * z
+                        r[many] = z
+                    hits.append((xs[i + k // width], ys[j + k % width], r, d, n))
     if not hits:
         return _columns([])
-    x, y, r, d = map(np.concatenate, zip(*hits))
+    x, y, z, d, n = map(np.concatenate, zip(*hits))
     # a pair of two values of one class appears in that class's square
     # block twice, as (x, y) and as (y, x); rectangle rows have x < y
     keep = (x <= y) | (u[x - min_x] != u[y - min_x])
-    return np.minimum(x, y)[keep], np.maximum(x, y)[keep], r[keep], d[keep] + lo
+    return np.minimum(x, y)[keep], np.maximum(x, y)[keep], z[keep], d[keep] + lo, n[keep]
 
 
-def _scan_band(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Columns:
-    """Hits lo <= x^4 + y^4 - z^2 <= hi over this stripe's x values in the
-    band x <= y < y0: every z from isqrt(s - hi - 1) + 1 to isqrt(s - lo),
-    for t = max(-lo, hi) <= INTERVAL_MAX_T.  Runs blocks of whole x
-    values, at most SIEVE_BLOCK_PAIRS pairs each unless one x has more,
-    and expands their rows about SIEVE_BLOCK_PAIRS at a time."""
+def _scan_stripe(cfg: SearchConfig, index: int, stride: int, y0: int) -> _Columns:
     lo, hi = cfg.window
-    p4 = np.arange(cfg.min_x, y0, dtype=np.int64) ** 4  # at most t^2 < 2^51
-    xs = np.arange(cfg.min_x + index, y0, stride, dtype=np.int64)
-    hits: list[_Columns] = []
-    i = 0
-    while i < xs.size:
-        block = xs[i : i + max(1, SIEVE_BLOCK_PAIRS // (y0 - int(xs[i])))]
-        i += block.size
-        # the pairs (x, y), x <= y < y0, of each x of the block in turn
-        n_y = y0 - block
-        x = np.repeat(block, n_y)
-        y = x + np.arange(x.size) - np.repeat(np.cumsum(n_y) - n_y, n_y)
-        s = p4[x - cfg.min_x] + p4[y - cfg.min_x]
-        a = np.maximum(s - hi - 1, 0)  # s <= hi gives z_lo = 1
-        b = np.maximum(s - lo, 0)  # s < lo gives z_hi = 0, so no z
-        z_lo = _isqrt(a, a.astype(np.float64))[0] + 1
-        z_hi = _isqrt(b, b.astype(np.float64))[0]
-        count = z_hi - z_lo + 1
-        hit = np.flatnonzero(count > 0)
-        if not hit.size:
-            continue
-        ends = np.cumsum(count[hit])
-        cuts = np.searchsorted(ends, np.arange(SIEVE_BLOCK_PAIRS, ends[-1], SIEVE_BLOCK_PAIRS))
-        for part in np.split(hit, cuts):
-            n = count[part]
-            row = np.repeat(np.arange(part.size), n)
-            z = z_lo[part][row] + np.arange(row.size) - (np.cumsum(n) - n)[row]
-            pair = part[row]
-            hits.append((x[pair], y[pair], z, s[pair] - z * z))
-    if not hits:
-        return _columns([])
-    return tuple(map(np.concatenate, zip(*hits)))
-
-
-def _scan_stripe(
-    cfg: SearchConfig, index: int, stride: int, y0: int, window_loop: bool
-) -> _Columns:
-    if window_loop:
-        lo, hi = cfg.window
-        xs = range(cfg.min_x + index, y0, stride)
-        band = _columns([row for x in xs for row in _scan_x_exact(x, y0, lo, hi)])
-    else:
-        band = _scan_band(cfg, y0, index, stride)
+    xs = range(cfg.min_x + index, y0, stride)
+    band = _columns([row for x in xs for row in _scan_x_exact(x, y0, lo, hi)])
     if y0 > cfg.max_x:
         return band
     return tuple(map(np.concatenate, zip(band, _scan_kernel(cfg, y0, index, stride))))
@@ -509,7 +473,7 @@ def _kept_residue_pairs(lo: int, hi: int) -> int:
 def _work(cfg: SearchConfig, force_exact: bool = False) -> int:
     """Estimated cost of a scan of cfg in kept kernel pairs: the kernel's
     pairs (y >= y0) times the share the sieve keeps, rounded up, plus
-    each band pair (y < y0) at BAND_PAIR_WEIGHT."""
+    each window-loop pair (y < y0) at BAND_PAIR_WEIGHT."""
     m = 5 * SIEVE_MODULUS
     y0 = _kernel_y_start(cfg, force_exact)
     n = cfg.max_x - cfg.min_x + 1
@@ -532,28 +496,38 @@ def processes(cfg: SearchConfig, force_exact: bool = False) -> int:
 def scan(cfg: SearchConfig, force_exact: bool = False) -> Hits:
     """All qualifying hits, each exactly once, sorted by (y, x, z).
 
-    force_exact switches off the vectorized kernel and the z-interval;
-    results are identical either way (asserted by the test suite on
-    overlap ranges).
+    force_exact switches off the vectorized kernel, so that the window
+    loop takes every pair; results are identical either way (asserted by
+    the test suite on overlap ranges).
     """
     stripes = processes(cfg, force_exact)
     y0 = _kernel_y_start(cfg, force_exact)
-    lo, hi = cfg.window
-    # the window loop, not the z-interval, takes the band y < y0
-    window_loop = force_exact or cfg.max_x > KERNEL_MAX_X or max(-lo, hi) > INTERVAL_MAX_T
     if stripes == 1:
-        x, y, z, delta = _scan_stripe(cfg, 0, 1, y0, window_loop)
+        x, y, z, delta, n = _scan_stripe(cfg, 0, 1, y0)
     else:
-        jobs = [(cfg, i, stripes, y0, window_loop) for i in range(stripes)]
+        jobs = [(cfg, i, stripes, y0) for i in range(stripes)]
         with Pool(stripes) as pool:
             parts = pool.starmap(_scan_stripe, jobs)
-        x, y, z, delta = map(np.concatenate, zip(*parts))
-    # the rows of one pair come from one stripe in z order: the window
-    # loop and the z-interval emit them so, and the kernel emits at most
-    # one per pair.  So a stable sort by (y, x) leaves them in (y, x, z)
-    # order, several times faster than one that reads z too
+        x, y, z, delta, n = map(np.concatenate, zip(*parts))
+    # a window-loop pair's rows come from one stripe in z order, and a
+    # kernel pair is one row, its least z with its count n of hits.  So a
+    # stable sort by (y, x) leaves the rows in (y, x, z) order, several
+    # times faster than one that reads z too.  Each column is gathered on
+    # its own line, so that its unsorted copy is freed before the next
     order = np.lexsort((x, y))
-    return Hits(x[order], y[order], z[order], delta[order])
+    x = x[order]
+    y = y[order]
+    z = z[order]
+    delta = delta[order]
+    n = n[order]
+    # each row expands into its n rows, z counting up by step from its
+    # least, where s - z^2 = delta - step * (2z + step)
+    step = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    x = np.repeat(x, n)
+    y = np.repeat(y, n)
+    z = np.repeat(z, n)
+    delta = np.repeat(delta, n) - step * (2 * z + step)
+    return Hits(x, y, z + step, delta)
 
 
 def verify_hit(hit: SearchHit) -> bool:

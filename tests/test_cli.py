@@ -1,6 +1,8 @@
 """Command-line surface tests, run in-process via cli.main."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,13 +10,17 @@ import pickle
 import sys
 import time
 from dataclasses import replace
+from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import cli_corpus
+from oracle import naive_scan
 from nearmiss4 import cli, exactmath, identities, search, sequences
 
 FIXTURE = Path(__file__).parent / "data" / "search_oracle_max60_t50.tsv"
@@ -641,3 +647,139 @@ def test_search_workers_flag(capsys):
     )
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# The oracle's rows over 1 <= x <= y <= ORACLE_MAX_X with |delta| up to
+# ORACLE_BOUND hold the hits of every search window drawn below.
+ORACLE_MAX_X = 80
+ORACLE_BOUND = 10**4
+
+
+@pytest.fixture(scope="module")
+def oracle_rows():
+    return naive_scan(1, ORACLE_MAX_X, threshold=ORACLE_BOUND)
+
+
+@st.composite
+def cli_argvs(draw):
+    """(argv, valid): an argv of a subcommand from small ranges, and whether
+    it is valid.  Between a quarter and a half have one flaw: a value out of range
+    (zero, negative, min_x > max_x, workers past MAX_WORKERS), both window
+    flags, at their defaults' values too, an unknown flag or a value that
+    is no integer."""
+    command = draw(st.sampled_from(["search"] * 4 + ["gen", "verify", "closed-form", "identities"]))
+    flaws = {
+        "search": ["min_x", "range", "threshold", "both", "both", "workers"],
+        "gen": ["count"],
+        "verify": ["count"],
+        "closed-form": ["n"],
+        "identities": [],
+    }[command]
+    flaw = draw(st.sampled_from([None] * 8 + flaws + ["flag", "value"]))
+    argv = [command]
+    if command == "search":
+        min_x = draw(st.integers(1, ORACLE_MAX_X))
+        max_x = draw(st.integers(min_x, ORACLE_MAX_X))
+        if flaw == "min_x":
+            min_x = draw(st.integers(-1, 0))
+        elif flaw == "range":
+            max_x = draw(st.integers(1, ORACLE_MAX_X - 1))
+            min_x = draw(st.integers(max_x + 1, ORACLE_MAX_X))
+        argv += ["--min-x", str(min_x)] if min_x != 1 or draw(st.booleans()) else []
+        argv += ["--max-x", str(max_x)]
+        window = draw(st.sampled_from(["threshold", "residual"]))
+        if flaw in ("both", "threshold"):
+            window = flaw
+        if window != "residual":
+            t = draw(st.integers(-3, -1) if flaw == "threshold" else st.integers(0, 2000))
+            if window == "both" and draw(st.booleans()):
+                t = 0  # the value of no threshold must not pass the exclusion either
+            argv += ["--threshold", str(t)]
+        if window != "threshold":
+            argv += ["--exact-residual", str(draw(st.integers(-ORACLE_BOUND, ORACLE_BOUND)))]
+        if window == "both" and draw(st.booleans()):
+            argv[-4:] = argv[-2:] + argv[-4:-2]  # the other flag first
+        if flaw == "workers":
+            workers = draw(st.sampled_from([0, -1, search.MAX_WORKERS + 1]))
+        else:
+            workers = draw(st.integers(1, 3))
+        argv += ["--workers", str(workers)] if workers != 1 or draw(st.booleans()) else []
+    elif command in ("gen", "verify"):
+        count = draw(st.integers(-2, 0) if flaw == "count" else st.integers(1, 40))
+        argv += ["--count", str(count)]
+    elif command == "closed-form":
+        argv += ["--n", str(draw(st.integers(-3, -1) if flaw == "n" else st.integers(0, 40)))]
+    if command in ("search", "gen"):
+        argv += ["--format", draw(st.sampled_from(["tsv", "jsonl"]))]
+    if flaw == "flag":
+        argv.insert(draw(st.integers(1, len(argv))), "--frobnicate")
+    elif flaw == "value":
+        if len(argv) == 1:
+            argv.append("0")  # identities takes no argument
+        else:
+            argv[-1] = "x" + argv[-1]
+    return argv, flaw is None
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def parsed_rows(fmt, out):
+    if fmt == "tsv":
+        return [tuple(map(int, line.split("\t"))) for line in out.splitlines()]
+    return [tuple(map(int, json.loads(line).values())) for line in out.splitlines()]
+
+
+@settings(
+    max_examples=200,
+    deadline=timedelta(seconds=5),
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(cli_argvs())
+# the defect of a --threshold that defaults to 0: argparse's exclusion lets
+# a value that is its default pass
+@example((["search", "--max-x", "5", "--threshold", "0", "--exact-residual", "8"], False))
+@example((["search", "--max-x", "5", "--exact-residual", "0", "--threshold", "0"], False))
+def test_cli_contract(monkeypatch, pool_at_any_size, oracle_rows, drawn):
+    # every --workers count runs that many processes, up to the CPUs
+    argv, valid = drawn
+    code, out, err = run_main(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    assert code == (0 if valid else 2)
+    if code == 2:
+        assert out == ""
+    if code != 0 or argv[0] not in ("search", "gen"):
+        return
+    args = cli.build_parser().parse_args(argv)
+    rows = parsed_rows(args.format, out)
+    if args.command == "gen":
+        assert [row[0] for row in rows] == list(range(args.count))
+        assert all(sequences.residual(*row[1:]) == sequences.R for row in rows)
+        # x and y follow x_n = A*x_{n-1} + x_{n-2}, and z its three-term
+        # recurrence, forced by a constant of alternating sign
+        a, b, c = rows[:-2], rows[1:-1], rows[2:]
+        for i in (1, 2):
+            assert all(w[i] == sequences.A * v[i] + u[i] for u, v, w in zip(a, b, c))
+        forcing = [w[3] - (sequences.A**2 + 2) * v[3] + u[3] for u, v, w in zip(a, b, c)]
+        assert all(f == -g != 0 for f, g in zip(forcing, forcing[1:]))
+        return
+    other = "jsonl" if args.format == "tsv" else "tsv"
+    code, other_out, _ = run_main(argv[:-1] + [other])
+    assert code == 0 and parsed_rows(other, other_out) == rows
+    if args.exact_residual is None:
+        lo, hi = -(args.threshold or 0), args.threshold or 0
+    else:
+        lo = hi = args.exact_residual
+    keys = [(y, x, z) for x, y, z, _ in rows]
+    assert all(k < k_next for k, k_next in zip(keys, keys[1:]))
+    for x, y, z, delta in rows:
+        assert delta == sequences.residual(x, y, z) and lo <= delta <= hi
+    assert rows == [
+        row
+        for row in oracle_rows
+        if args.min_x <= row[0] and row[1] <= args.max_x and lo <= row[3] <= hi
+    ]

@@ -261,40 +261,71 @@ def test_large_threshold_stays_in_kernel(monkeypatch):
     assert expected and scan(cfg) == expected
 
 
-def recording_band(monkeypatch):
-    """Records each call of search._scan_band as (y0, index, stride, rows)."""
+def recording(monkeypatch, name):
+    """Records each call of search.<name> as (args, rows), rows the list of
+    its returned rows: (x, y, z, delta, n) as Python ints."""
     calls = []
-    band = search._scan_band
+    original = getattr(search, name)
 
-    def recording(cfg, y0, index, stride):
-        columns = band(cfg, y0, index, stride)
-        calls.append((y0, index, stride, list(zip(*(c.tolist() for c in columns)))))
-        return columns
+    def recorded(*args):
+        result = original(*args)
+        rows = result if isinstance(result, list) else zip(*(c.tolist() for c in result))
+        calls.append((args[1:], list(rows)))
+        return result
 
-    monkeypatch.setattr(search, "_scan_band", recording)
+    monkeypatch.setattr(search, name, recorded)
     return calls
 
 
 def test_tightest_kernel_pairs(monkeypatch):
-    # t = k^2 + 2k has y0 = k + 1 and y0^4 - t^2 = 2*y0^2 - 1, the least
-    # room a kernel pair can have (t = 255: y0 = 16), and (1, 16) hits at
-    # z = isqrt(s + t) = 256.  The pairs with 2*x^4 = t^2 + 1, (x, t) =
-    # (1, 1) and (13, 239) (Ljunggren 1942), have y < y0, so the band
-    # finds their hit z = t
+    # t = k^2 + 2k: y^4 > t^2 from y = k + 1 on, and y0^4 - t^2 = 2*y0^2 - 1
+    # is the least room a one-hit pair can have (t = 255: (1, 16) hits at
+    # z = isqrt(s + t) = 256).  The pairs with 2*x^4 = t^2 + 1, (x, t) =
+    # (1, 1) and (13, 239) (Ljunggren 1942), hit once, at z = t, though
+    # y^4 <= t^2.  The kernel takes all of them from y0 = min_x, each as one
+    # row with its count of hits
     assert 16**4 - 255**2 == 2 * 16**2 - 1
     cases = [
-        (SearchConfig(max_x=40, threshold=255), 16, SearchHit(1, 16, 256, 1), False),
-        (SearchConfig(min_x=13, max_x=40, threshold=239), 16, SearchHit(13, 13, 239, 1), True),
-        (SearchConfig(max_x=5, threshold=1), 2, SearchHit(1, 1, 1, 1), True),
+        (SearchConfig(max_x=40, threshold=255), (1, 16, 256, 1, 1)),
+        (SearchConfig(min_x=13, max_x=40, threshold=239), (13, 13, 239, 1, 1)),
+        (SearchConfig(max_x=5, threshold=1), (1, 1, 1, 1, 1)),
     ]
-    expected = [scan(cfg, force_exact=True) for cfg, *_ in cases]
-    calls = recording_band(monkeypatch)
-    for (cfg, y0, hit, in_band), exact in zip(cases, expected):
-        calls.clear()
+    expected = [scan(cfg, force_exact=True) for cfg, _ in cases]
+    kernel = recording(monkeypatch, "_scan_kernel")
+    for (cfg, row), exact in zip(cases, expected):
+        kernel.clear()
         hits = scan(cfg)
-        assert _kernel_y_start(cfg) == y0 and {call[0] for call in calls} == {y0}
-        assert hit in hits and hits == exact
-        assert (hit in [row for *_, rows in calls for row in rows]) == in_band
+        [((y0, _, _), rows)] = kernel
+        assert _kernel_y_start(cfg) == y0 == cfg.min_x
+        assert row[:4] in hits and hits == exact
+        assert row in rows
+
+
+@pytest.mark.parametrize(
+    "t, rows",
+    [
+        # (2, 4) hits at z = 16 and 17; (1, 1) from z = 1, where s <= t
+        (17, [(1, 1, 1, 1, 4), (2, 2, 4, 16, 4), (2, 4, 16, 16, 2)]),
+        # the least hit's residual is t itself: z^2 = s - t, and z = r - 1
+        (16, [(2, 2, 4, 16, 3), (2, 3, 9, 16, 2)]),
+        (7, [(2, 2, 5, 7, 2)]),
+    ],
+)
+def test_kernel_counts_the_hits_of_a_pair(t, rows):
+    # the kernel returns each hit pair once, with its least z, the residual
+    # there and its count of hits, which a brute force over z recounts
+    cfg = SearchConfig(max_x=12, threshold=t)
+    x, y, z, delta, n = search._scan_kernel(cfg, 1, 0, 1)
+    kernel = list(zip(x.tolist(), y.tolist(), z.tolist(), delta.tolist(), n.tolist()))
+    assert set(rows) <= set(kernel)
+    brute = []
+    for x in range(1, 13):
+        for y in range(x, 13):
+            s = x**4 + y**4
+            zs = [z for z in range(1, math.isqrt(s + t) + 1) if abs(s - z * z) <= t]
+            if zs:
+                brute.append((x, y, zs[0], s - zs[0] ** 2, len(zs)))
+    assert sorted(kernel) == sorted(brute)
 
 
 def test_family_member_two_found():
@@ -468,8 +499,10 @@ def test_processes_follow_the_kept_work(monkeypatch):
         # 3.4M kept pairs, and 4.8M: two processes tie with one near 5M
         (SearchConfig(max_x=10000, exact_residual=8, workers=2), 1),
         (SearchConfig(max_x=12000, exact_residual=8, workers=2), 2),
-        # a threshold band of 50,086 pairs, 5.0M kept pairs of work
-        (SearchConfig(max_x=1000, threshold=100000, workers=2), 2),
+        # a threshold up to INTERVAL_MAX_T has no band: 500,500 kernel
+        # pairs, and 4.5M
+        (SearchConfig(max_x=1000, threshold=100000, workers=2), 1),
+        (SearchConfig(max_x=3000, threshold=20000, workers=2), 2),
         # 13.4M kept pairs: one process per 2^21
         (SearchConfig(max_x=20000, exact_residual=8, workers=8), 6),
         (SearchConfig(max_x=25000, exact_residual=8, workers=8), 8),
@@ -708,10 +741,14 @@ def test_force_exact_runs_no_sieve(monkeypatch):
 
 def test_kernel_y_start():
     # y0 is the least y with y^4 > b, also for b a perfect fourth power:
-    # b = t^2 for a threshold t, max(R, 0) for an exact residual R up to
-    # |R| = INTERVAL_MAX_T, and R^2 past it
+    # b = max(lo, 0) for a window up to t = INTERVAL_MAX_T, so 0 for a
+    # threshold and max(R, 0) for an exact residual R, and t^2 past it
     for t in (0, 1, 7, 8, 9, 16, 20, 50, 239, 300, 1296, 20000):
-        y = _kernel_y_start(SearchConfig(max_x=10**7, threshold=t))
+        assert _kernel_y_start(SearchConfig(max_x=10**7, threshold=t)) == 1
+        assert _kernel_y_start(SearchConfig(min_x=9, max_x=10**7, threshold=t)) == 9
+    for t in (INTERVAL_MAX_T + 1, 10**12):
+        # min_x at x0 = _kernel_min_x(t) adds no row to refuse
+        y = _kernel_y_start(SearchConfig(min_x=_kernel_min_x(t), max_x=10**7, threshold=t))
         assert y**4 > t * t >= (y - 1) ** 4
     for t in (0, 1, 15, 16, 17, 1293, 1296, 4096, 10**6 + 3, INTERVAL_MAX_T - 1, INTERVAL_MAX_T):
         for residual in (t, -t):
@@ -731,9 +768,10 @@ def test_kernel_y_start():
     ):
         assert _kernel_y_start(SearchConfig(max_x=10**4, exact_residual=residual)) == y0
     # raised to min_x, capped at max_x + 1
-    assert _kernel_y_start(SearchConfig(min_x=50, max_x=60, threshold=300)) == 50
+    assert _kernel_y_start(SearchConfig(min_x=50, max_x=60, exact_residual=300)) == 50
     assert _kernel_y_start(SearchConfig(min_x=50, max_x=60, exact_residual=-300)) == 50
-    assert _kernel_y_start(SearchConfig(max_x=10, threshold=300)) == 11
+    assert _kernel_y_start(SearchConfig(max_x=10, exact_residual=20000)) == 11
+    assert _kernel_y_start(SearchConfig(max_x=10, threshold=INTERVAL_MAX_T + 1)) == 11
     # max_x + 1 under force_exact and past KERNEL_MAX_X
     cfg = SearchConfig(max_x=7000, exact_residual=8)
     assert _kernel_y_start(cfg) == 2 and _kernel_y_start(cfg, force_exact=True) == 7001
@@ -744,7 +782,8 @@ def test_kernel_y_start():
 def test_pairs_below_y0_stay_in_the_window_loop():
     # isqrt(t) = k for t from k^2 to k^2 + 2k, and y = k has y^4 <= t^2;
     # a pair (x, k) with x^4 near k^2 then hits twice, at z = k^2 and
-    # k^2 + 1, as (2, 4) does for t = 17
+    # k^2 + 1, as (2, 4) does for t = 17.  Under force_exact y0 is
+    # max_x + 1 and the window loop takes every pair; else the kernel does
     for k in range(1, 13):
         for t in range(k * k, k * k + 2 * k + 1):
             cfg = SearchConfig(max_x=k + 1, threshold=t)
@@ -752,45 +791,54 @@ def test_pairs_below_y0_stay_in_the_window_loop():
 
 
 def test_band_takes_only_the_corner(monkeypatch):
-    # the band takes the pairs with y < y0, x from 1 to y0 - 1, and the
-    # kernel every y from y0 on: y0 = 2 for residual 8, the pair (1, 1),
-    # which has no row, while (1, 2, 3, 8) is the kernel's; y0 = 18 for
-    # t = 300, although 2*x^4 > t^2 from x0 = 15 on; y0 = 142 for
-    # t = 20000 (x0 = 119)
-    calls = recording_band(monkeypatch)
+    # the window loop takes the pairs with y < y0, x from 1 to y0 - 1, and
+    # the kernel every y from y0 on: y0 = 2 for residual 8, the pair (1, 1),
+    # which has no row, while (1, 2, 3, 8) is the kernel's.  A threshold up
+    # to INTERVAL_MAX_T has no band: y0 = min_x, and the kernel also takes
+    # the pairs with several hits, below x0 = 15 for t = 300 and x0 = 119
+    # for t = 20000
+    loop = recording(monkeypatch, "_scan_x_exact")
+    kernel = recording(monkeypatch, "_scan_kernel")
     hits = scan(SearchConfig(max_x=7000, exact_residual=8))
-    assert calls == [(2, 0, 1, [])]
+    assert loop == [((2, 8, 8), [])]
+    assert [args for args, _ in kernel] == [(2, 0, 1)]
     assert {(1, 2, 3, 8), (22, 23, 717, 8), (1058, 1103, 1653213, 8)} <= set(hits)
-    for cfg, y0 in (
-        (SearchConfig(max_x=1200, threshold=300), 18),
-        (SearchConfig(max_x=400, threshold=20000), 142),
+    for cfg, x0 in (
+        (SearchConfig(max_x=1200, threshold=300), 15),
+        (SearchConfig(max_x=400, threshold=20000), 119),
     ):
-        calls.clear()
+        loop.clear()
+        kernel.clear()
         hits = scan(cfg)
-        [(band_y0, index, stride, rows)] = calls
-        assert (band_y0, index, stride) == (y0, 0, 1) and rows
-        assert sorted(rows) == sorted(h for h in scan(cfg, force_exact=True) if h.y < y0)
+        [(args, rows)] = kernel
+        assert loop == [] and args == (1, 0, 1)
+        assert max(x for x, _, _, _, n in rows if n > 1) < x0
+        assert len(hits) == sum(n for *_, n in rows) > len(rows)
         assert hits == scan(cfg, force_exact=True)
 
 
 @pytest.mark.parametrize(
-    "window, hit, below",
+    "cfg, hit, below",
     [
-        # y = 432 is class 0, below the class 1 of x = 1
-        ({"threshold": 300}, (1, 432, 186624, 1), 1773),
+        # a threshold window has a rectangle only past INTERVAL_MAX_T, from
+        # y0 = 5793; y = 6048 = 14 * 432 is class 0
+        (
+            SearchConfig(min_x=5760, max_x=6240, threshold=INTERVAL_MAX_T + 1),
+            (5761, 6048, 49391194, 31523421),
+            4277,
+        ),
         # (6, y, y^2, 6^4) hits for every y; x = 6 has class 0, the least
-        ({"exact_residual": 1296}, (6, 6 * 80, 36 * 80**2, 1296), 0),
+        (SearchConfig(max_x=1200, exact_residual=1296), (6, 6 * 80, 36 * 80**2, 1296), 0),
         # (1, y, y^2, 1) hits for every y, and the 200 y divisible by 6
         # have class 0
-        ({"exact_residual": 1}, (1, 432, 186624, 1), 200),
+        (SearchConfig(max_x=1200, exact_residual=1), (1, 432, 186624, 1), 200),
     ],
-    ids=["threshold-300", "residual-1296", "residual-1"],
+    ids=["threshold-2^25+1", "residual-1296", "residual-1"],
 )
-def test_rectangle_pairs_every_class(window, hit, below):
+def test_rectangle_pairs_every_class(cfg, hit, below):
     # x < y0 <= y over a range wider than 432: hits whose y class,
     # y^4 mod 432, lies below their x class, which pairing class g with
     # g' >= g only would miss
-    cfg = SearchConfig(max_x=1200, **window)
     y0 = _kernel_y_start(cfg)
     hits = scan(cfg)
     assert hits == scan(cfg, force_exact=True)
@@ -801,11 +849,12 @@ def test_rectangle_pairs_every_class(window, hit, below):
 
 @st.composite
 def corner_windows(draw):
-    """(min_x, max_x, window) over ranges that cross y0 = k + 1: a
-    threshold t from k^2 to k^2 + 2k, where isqrt(t) = k, with min_x
-    below x0 or in the band [x0, y0) (x0 <= k for k >= 5), or an exact
-    residual from k^4 to (k + 1)^4 - 1; or the nearest residual R > 0 of
-    a pair (x, y) with x < y0 and y past 432."""
+    """(min_x, max_x, window) over ranges that cross k + 1: a threshold t
+    from k^2 to k^2 + 2k, where isqrt(t) = k, so that the pairs with
+    y <= k may hit several times, with min_x below x0 or in [x0, k]
+    (x0 <= k for k >= 5); or an exact residual from k^4 to (k + 1)^4 - 1,
+    where y0 = k + 1; or the nearest residual R > 0 of a pair (x, y) with
+    x < y0 and y past 432."""
     if draw(st.booleans()):
         k = draw(st.integers(1, 40))
         if draw(st.booleans()):
@@ -831,7 +880,9 @@ def test_corner_and_rectangle_match_exact(monkeypatch, in_process_pool, pool_at_
     monkeypatch.setattr(search, "_cpus", lambda: 2)
     min_x, max_x, fields = window
     cfg = SearchConfig(min_x=min_x, max_x=max_x, **fields)
-    assert min_x < _kernel_y_start(cfg) <= max_x
+    # a threshold's pairs are all the kernel's, several hits each below k + 1
+    y0 = min_x if "threshold" in fields else _kernel_y_start(cfg)
+    assert min_x <= _kernel_y_start(cfg) == y0 <= max_x
     expected = scan(cfg, force_exact=True)
     for workers in (1, 2):
         assert scan(replace(cfg, workers=workers)) == expected
@@ -852,12 +903,14 @@ def test_rows_of_a_pair_stay_in_z_order(monkeypatch, in_process_pool, pool_at_an
 
 @st.composite
 def band_windows(draw):
-    """(min_x, max_x, window) over at most 41 values of x from inside the
-    band y < y0: t = max(-lo, hi) up to INTERVAL_MAX_T, and pinned at it
-    and one past it, as a threshold (from an x where a pair has a few
-    rows at most), an exact residual t, or -t past INTERVAL_MAX_T; or a
-    residual R > 0 at or near x^4 + y^4 of a small pair, so that s - R is
-    tiny or negative."""
+    """(min_x, max_x, window) over at most 41 values of x from below
+    isqrt(t) + 1, where a pair may hit several times: t = max(-lo, hi) up
+    to INTERVAL_MAX_T, and pinned at it and one past it, as a threshold
+    (from an x where a pair has a few rows at most), an exact residual t,
+    or -t past INTERVAL_MAX_T; or a residual R > 0 at or near x^4 + y^4
+    of a small pair, so that s - R is tiny or negative.  The kernel takes
+    a threshold up to INTERVAL_MAX_T whole, and the window loop the band
+    y < y0 of the others."""
     kind = draw(st.sampled_from(["threshold", "residual", "near"]))
     if kind == "near":
         x = draw(st.integers(1, 60))
@@ -895,7 +948,8 @@ def test_band_matches_exact(monkeypatch, in_process_pool, pool_at_any_size, wind
     monkeypatch.setattr(search, "_cpus", lambda: 2)
     min_x, max_x, fields = window
     cfg = SearchConfig(min_x=min_x, max_x=max_x, **fields)
-    assert min_x < _kernel_y_start(cfg)  # the range starts in the band
+    in_kernel = fields.get("threshold", INTERVAL_MAX_T + 1) <= INTERVAL_MAX_T
+    assert (_kernel_y_start(cfg) == min_x) == in_kernel  # else the range starts in the band
     expected = scan(cfg, force_exact=True)
     for workers in (1, 2):
         assert scan(replace(cfg, workers=workers)) == expected
@@ -952,25 +1006,31 @@ def test_residual_zero_is_always_empty(min_x, width):
 
 
 @pytest.mark.parametrize(
-    "cfg, interval, in_band",
+    "cfg, y0, loop_rows",
     [
-        # the band y < 77 holds no hit; (52, 77, 2985) is the kernel's
-        (SearchConfig(max_x=100, exact_residual=INTERVAL_MAX_T), True, 0),
-        # the band y < 5793 holds all of x <= 100, and (1, 96, 7168) hits
-        (SearchConfig(max_x=100, exact_residual=INTERVAL_MAX_T + 1), False, 1),
-        (SearchConfig(min_x=5700, max_x=5900, threshold=INTERVAL_MAX_T), True, 3133),
-        (SearchConfig(min_x=5700, max_x=5900, threshold=INTERVAL_MAX_T + 1), False, 3133),
+        # the window loop takes y < 77, which holds no hit; (52, 77, 2985)
+        # is the kernel's
+        (SearchConfig(max_x=100, exact_residual=INTERVAL_MAX_T), 77, 0),
+        # the window loop takes y < 5793, all of x <= 100, and (1, 96, 7168)
+        # hits
+        (SearchConfig(max_x=100, exact_residual=INTERVAL_MAX_T + 1), 101, 1),
+        # the kernel takes all 3133 hits with y < 5793 at t = 2^25, and the
+        # window loop past it
+        (SearchConfig(min_x=5700, max_x=5900, threshold=INTERVAL_MAX_T), 5700, 0),
+        (SearchConfig(min_x=5700, max_x=5900, threshold=INTERVAL_MAX_T + 1), 5793, 3133),
     ],
     ids=["residual-2^25", "residual-2^25+1", "threshold-2^25", "threshold-2^25+1"],
 )
-def test_interval_takes_the_band_up_to_its_bound(monkeypatch, cfg, interval, in_band):
+def test_interval_takes_the_band_up_to_its_bound(monkeypatch, cfg, y0, loop_rows):
+    # up to t = INTERVAL_MAX_T the kernel starts at y^4 > max(lo, 0), past
+    # it at y^4 > t^2, and the window loop takes the band below
     expected = scan(cfg, force_exact=True)
-    y0 = _kernel_y_start(cfg)
-    assert cfg.min_x < y0 and expected
-    assert sum(h.y < y0 for h in expected) == in_band
-    calls = recording_band(monkeypatch)
+    assert _kernel_y_start(cfg) == y0 and expected
+    assert sum(h.y < y0 for h in expected) == loop_rows
+    loop = recording(monkeypatch, "_scan_x_exact")
     assert scan(cfg) == expected
-    assert bool(calls) == interval
+    assert sum(len(rows) for _, rows in loop) == loop_rows
+    assert bool(loop) == (cfg.min_x < y0)
 
 
 def test_hits_is_a_read_only_sequence():
