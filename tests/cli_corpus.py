@@ -6,9 +6,9 @@ Usage, from the repository root:
   python3 tests/cli_corpus.py --check  replay them all; exit 1 on any change
 
 Each argv of ARGVS missing from the file runs once in a fresh process
-(`python -m nearmiss4.cli`) and is added.  An argv already in the file is
-neither run nor rewritten: the file keeps the bytes of the commit that
-first recorded it.  To record one again on purpose, delete its entry by
+(`python -m nearmiss4.cli`) and is added, and the file lists its entries
+in the order of ARGVS.  An argv already in the file is neither run nor
+rewritten: the file keeps the bytes of the commit that first recorded it.  To record one again on purpose, delete its entry by
 hand and say why in CHANGES.md.  stderr is left out: it holds a timing.
 --check runs every argv of ARGVS in a fresh process, writes nothing, and
 lists each one whose stdout sha256, byte count or exit code differs from
@@ -33,7 +33,7 @@ BIG_X = 3_650_000_000
 BIG_R = 2 * BIG_X**4 - isqrt(2 * BIG_X**4) ** 2
 
 WINDOWS = [
-    # thresholds; y0 = isqrt(t) + 1 splits the band from the kernel
+    # thresholds up to 2^25: the kernel takes every pair from min_x on
     "--max-x 60 --threshold 50",
     "--max-x 1500 --threshold 0",
     "--max-x 1500 --threshold 1",
@@ -66,6 +66,14 @@ WINDOWS = [
     "--min-x 5700 --max-x 5900 --exact-residual -33554432",
     "--min-x 5750 --max-x 5850 --exact-residual 33554433",
     f"--min-x {BIG_X} --max-x {BIG_X} --exact-residual {BIG_R}",
+    # a threshold past 2^25: the window loop takes y < 5793, where a small
+    # pair hits up to about 5,800 times (x <= 4: 57,920 rows; x <= 10:
+    # 318,586) and a pair near x = 3000 two or three times; 5780..5810
+    # crosses y0 = 5793 into the kernel
+    "--max-x 4 --threshold 33554433",
+    "--max-x 10 --threshold 33554433",
+    "--min-x 3000 --max-x 3100 --threshold 33554433",
+    "--min-x 5780 --max-x 5810 --threshold 33554433",
     # enough work for a pool at --workers 2
     "--max-x 3000 --threshold 20000",
 ]
@@ -157,8 +165,10 @@ def main(args: list[str]) -> int:
         corpus[key(argv)] = record(argv)
         added += 1
         print(f"added {key(argv)}: {corpus[key(argv)]}", flush=True)
-    CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
-    print(f"{added} added, {len(ARGVS) - added} kept, {len(corpus)} in {CORPUS.name}")
+    # entries in the order of ARGVS, then any that ARGVS no longer holds
+    ordered = {key(argv): corpus.pop(key(argv)) for argv in ARGVS} | corpus
+    CORPUS.write_text(json.dumps(ordered, indent=1) + "\n")
+    print(f"{added} added, {len(ARGVS) - added} kept, {len(ordered)} in {CORPUS.name}")
     return 0
 
 
