@@ -63,23 +63,24 @@ some of R = 0 or 2 (mod 5), but it doubles the classes to 40, whose
 per-block cost makes small windows slower (see SIEVE_MODULUS), where
 the value filter costs one mask over the values.
 
-The pure-Python window loop tries the z from z_lo to r pair by pair in
-big ints, one row per z.  It is the reference the kernel is tested
-against, and it takes the band y < y0: y <= R^(1/4) for an exact
-residual 0 < R <= INTERVAL_MAX_T, at most 76 values of y and 2926 pairs;
-y <= sqrt(t) past INTERVAL_MAX_T; and every pair under force_exact or
-when max_x is above KERNEL_MAX_X (y0 is then max_x + 1).  Threshold
-configs that could emit more than MAX_WINDOW_ROWS rows beyond one per
-pair are refused before anything runs.
+The pure-Python window loop takes z_lo and r pair by pair in big ints,
+by the rule above, and returns each hit pair as the kernel does: one row
+with z_lo, s - z_lo^2 and n = r - z_lo + 1.  It is the reference the
+kernel is tested against, and it takes the band y < y0: y <= R^(1/4)
+for an exact residual 0 < R <= INTERVAL_MAX_T, at most 76 values of y
+and 2926 pairs; y <= sqrt(t) past INTERVAL_MAX_T; and every pair under
+force_exact or when max_x is above KERNEL_MAX_X (y0 is then max_x + 1).
+Threshold configs that could emit more than MAX_WINDOW_ROWS rows beyond
+one per pair are refused before anything runs.
 
 The x values of the band and of each class of each kernel region are
 split into interleaved stripes, one process each, at most one per CPU
 this process may run on, one per x and one per MIN_STRIPE_PAIRS of
 estimated work, so a scan too small to repay a process start runs in
 the calling process whatever the worker count.  Every stripe returns
-five columns x, y, z, delta, n: int64, or object where a window-loop
-value passes int64; a window-loop row has n = 1.  scan merges them with
-one stable lexsort into (y, x) order, so the output is independent of
+one row per hit pair, from either path, as five columns x, y, z, delta,
+n: int64, or object where a window-loop value passes int64.  scan merges
+them with one lexsort into (y, x) order, so the output is independent of
 the worker count, expands each row into its n rows, z counting up, and
 returns them as Hits, a read-only sequence that builds a SearchHit only
 for a row that is read.
@@ -157,19 +158,24 @@ SIEVE_BLOCK_PAIRS = 2**13
 MIN_STRIPE_PAIRS = 2**21
 
 # Cost of one band pair, which the window loop takes, in kept kernel
-# pairs.  Against 10-11 ns per kept kernel pair, a window-loop pair took
-# 440-750 ns for an exact window and 5.5-8.5 us for a threshold (t =
-# 20000 and 100000, 5.7-6.5 rows each; median of 5 in-process scans,
+# pairs.  Against 10-11 ns per kept kernel pair, a window-loop pair,
+# scan's expansion of its rows included, took 0.5-0.6 us for an exact
+# window (R = 8) and 1.2-2.4 us for a threshold (t = 20000 and 100000 to
+# max_x 400, about 1 and 4.3 rows a pair, and t = 2^25 + 1 over
+# 3000..3400, 2.3), so this one price is within about 2x of every
+# window's (median of 7-9 in-process scans, force_exact below 2^25,
 # 2 vCPUs).  An exact window up to INTERVAL_MAX_T has at most 2926 band
 # pairs, and a threshold has band pairs only past it.
 BAND_PAIR_WEIGHT = 100
 
 # Most rows a threshold scan may add beyond one per pair, as bounded by
-# _extra_rows_bound.  Every row is held in memory until the scan ends,
-# as four int64 columns, and a scan peaks at about 83 bytes per row:
-# `search --threshold 100000 --max-x 3000`, 571,035 rows, peaks at 79 MB
-# in a fresh process, 32 MB of it the interpreter and numpy.  So 10^7
-# extra rows take about 0.9 GB.
+# _extra_rows_bound.  Both paths return one row per hit pair, and scan's
+# expansion builds every row as four int64 columns held until the scan
+# ends; a scan peaks at about 83 bytes per row: `search --threshold
+# 100000 --max-x 3000`, 571,035 rows, peaks at 79 MB in a fresh process,
+# 32 MB of it the interpreter and numpy, and `search --threshold
+# 33554433 --max-x 10`, 318,586 rows from 55 window-loop pairs, at
+# 45 MB.  So 10^7 extra rows take about 0.9 GB.
 MAX_WINDOW_ROWS = 10**7
 
 
@@ -255,22 +261,23 @@ _Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _scan_x_exact(x: int, y_end: int, lo: int, hi: int) -> list[_Row]:
-    # every z with s - hi <= z^2 <= s - lo is a hit, and no other
+    # a pair hits at every z from z_lo to r = isqrt(s - lo) and at no
+    # other; each hit pair is one row, as the kernel returns it: z_lo, the
+    # residual s - z_lo^2 and the count of hits r - z_lo + 1
     rows: list[_Row] = []
     x4 = x**4
     for y in range(x, y_end):
         s = x4 + y**4
-        if s < lo:
-            continue
         z_lo = isqrt(s - hi - 1) + 1 if s > hi else 1
-        for z in range(z_lo, isqrt(s - lo) + 1):
-            rows.append((x, y, z, s - z * z, 1))
+        r = isqrt(s - lo) if s > lo else 0
+        if z_lo <= r:
+            rows.append((x, y, z_lo, s - z_lo * z_lo, r - z_lo + 1))
     return rows
 
 
 def _columns(rows: list[_Row]) -> _Columns:
-    """The window loop's rows as columns x, y, z, delta, n: int64 where
-    every value of the column fits, else object."""
+    """The window loop's rows, one per hit pair, as columns x, y, z,
+    delta, n: int64 where every value of the column fits, else object."""
     columns = []
     for values in zip(*rows) if rows else [()] * 5:
         try:
@@ -509,10 +516,8 @@ def scan(cfg: SearchConfig, force_exact: bool = False) -> Hits:
         with Pool(stripes) as pool:
             parts = pool.starmap(_scan_stripe, jobs)
         x, y, z, delta, n = map(np.concatenate, zip(*parts))
-    # a window-loop pair's rows come from one stripe in z order, and a
-    # kernel pair is one row, its least z with its count n of hits.  So a
-    # stable sort by (y, x) leaves the rows in (y, x, z) order, several
-    # times faster than one that reads z too.  Each column is gathered on
+    # every row is one hit pair, its least z with its count n of hits, so
+    # a sort by (y, x) alone orders the rows.  Each column is gathered on
     # its own line, so that its unsorted copy is freed before the next
     order = np.lexsort((x, y))
     x = x[order]

@@ -8,8 +8,9 @@ Usage, from the repository root:
 Each argv of ARGVS missing from the file runs once in a fresh process
 (`python -m nearmiss4.cli`) and is added, and the file lists its entries
 in the order of ARGVS.  An argv already in the file is neither run nor
-rewritten: the file keeps the bytes of the commit that first recorded it.  To record one again on purpose, delete its entry by
-hand and say why in CHANGES.md.  stderr is left out: it holds a timing.
+rewritten: the file keeps the bytes of the commit that first recorded
+it.  To record one again on purpose, delete its entry by hand and say
+why in CHANGES.md.  stderr is left out: it holds a timing.
 --check runs every argv of ARGVS in a fresh process, writes nothing, and
 lists each one whose stdout sha256, byte count or exit code differs from
 its entry, or that has no entry.

@@ -130,6 +130,11 @@ def test_matches_live_oracle_on_random_ranges():
     for er in (8, -7, 1, 0, 100, 1000, -50):
         cfg = SearchConfig(max_x=35, exact_residual=er)
         assert scan(cfg) == naive_scan(1, 35, exact_residual=er)
+    # past INTERVAL_MAX_T the window loop takes every pair of x <= 6, each
+    # with thousands of hits (121,632 rows), as one row that scan expands
+    cfg = SearchConfig(max_x=6, threshold=INTERVAL_MAX_T + 1)
+    assert _kernel_y_start(cfg) == 7
+    assert scan(cfg) == naive_scan(1, 6, threshold=INTERVAL_MAX_T + 1)
 
 
 def test_negative_exact_residual():
@@ -263,7 +268,9 @@ def test_large_threshold_stays_in_kernel(monkeypatch):
 
 def recording(monkeypatch, name):
     """Records each call of search.<name> as (args, rows), rows the list of
-    its returned rows: (x, y, z, delta, n) as Python ints."""
+    its returned rows as Python ints, one per hit pair: (x, y, z, delta, n)
+    with z the pair's least hit, delta the residual there and n its count
+    of hits."""
     calls = []
     original = getattr(search, name)
 
@@ -309,15 +316,19 @@ def test_tightest_kernel_pairs(monkeypatch):
         # the least hit's residual is t itself: z^2 = s - t, and z = r - 1
         (16, [(2, 2, 4, 16, 3), (2, 3, 9, 16, 2)]),
         (7, [(2, 2, 5, 7, 2)]),
+        # past INTERVAL_MAX_T only the window loop takes these pairs; (1, 1)
+        # hits at every z up to isqrt(2 + t) = 5792, (12, 12) up to 5796
+        (INTERVAL_MAX_T + 1, [(1, 1, 1, 1, 5792), (2, 4, 1, 271, 5792), (12, 12, 1, 41471, 5796)]),
     ],
 )
 def test_kernel_counts_the_hits_of_a_pair(t, rows):
-    # the kernel returns each hit pair once, with its least z, the residual
-    # there and its count of hits, which a brute force over z recounts
+    # the kernel and the window loop return each hit pair once, with its
+    # least z, the residual there and its count of hits, which a brute force
+    # over z recounts.  The kernel takes every pair up to INTERVAL_MAX_T,
+    # from y0 = 1, and none past it
     cfg = SearchConfig(max_x=12, threshold=t)
-    x, y, z, delta, n = search._scan_kernel(cfg, 1, 0, 1)
-    kernel = list(zip(x.tolist(), y.tolist(), z.tolist(), delta.tolist(), n.tolist()))
-    assert set(rows) <= set(kernel)
+    loop = [row for x in range(1, 13) for row in search._scan_x_exact(x, 13, -t, t)]
+    assert set(rows) <= set(loop)
     brute = []
     for x in range(1, 13):
         for y in range(x, 13):
@@ -325,7 +336,14 @@ def test_kernel_counts_the_hits_of_a_pair(t, rows):
             zs = [z for z in range(1, math.isqrt(s + t) + 1) if abs(s - z * z) <= t]
             if zs:
                 brute.append((x, y, zs[0], s - zs[0] ** 2, len(zs)))
-    assert sorted(kernel) == sorted(brute)
+    assert sorted(loop) == sorted(brute)
+    y0 = _kernel_y_start(cfg)
+    x, y, z, delta, n = search._scan_kernel(cfg, y0, 0, 1)
+    kernel = list(zip(x.tolist(), y.tolist(), z.tolist(), delta.tolist(), n.tolist()))
+    if t <= INTERVAL_MAX_T:
+        assert y0 == 1 and sorted(kernel) == sorted(brute)
+    else:
+        assert y0 == 13 and kernel == []
 
 
 def test_family_member_two_found():
@@ -1029,7 +1047,7 @@ def test_interval_takes_the_band_up_to_its_bound(monkeypatch, cfg, y0, loop_rows
     assert sum(h.y < y0 for h in expected) == loop_rows
     loop = recording(monkeypatch, "_scan_x_exact")
     assert scan(cfg) == expected
-    assert sum(len(rows) for _, rows in loop) == loop_rows
+    assert sum(n for _, rows in loop for *_, n in rows) == loop_rows
     assert bool(loop) == (cfg.min_x < y0)
 
 
