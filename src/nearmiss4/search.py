@@ -170,12 +170,13 @@ BAND_PAIR_WEIGHT = 100
 
 # Most rows a threshold scan may add beyond one per pair, as bounded by
 # _extra_rows_bound.  Both paths return one row per hit pair, and scan's
-# expansion builds every row as four int64 columns held until the scan
-# ends; a scan peaks at about 83 bytes per row: `search --threshold
-# 100000 --max-x 3000`, 571,035 rows, peaks at 79 MB in a fresh process,
-# 32 MB of it the interpreter and numpy, and `search --threshold
-# 33554433 --max-x 10`, 318,586 rows from 55 window-loop pairs, at
-# 45 MB.  So 10^7 extra rows take about 0.9 GB.
+# expansion builds every row as four int64 columns (z and delta object
+# past a threshold of 2^62) held until the scan ends; a scan peaks at
+# about 83 bytes per row: `search --threshold 100000 --max-x 3000`,
+# 571,035 rows, peaks at 79 MB in a fresh process, 32 MB of it the
+# interpreter and numpy, and `search --threshold 33554433 --max-x 10`,
+# 318,586 rows from 55 window-loop pairs, at 45 MB.  So 10^7 extra rows
+# take about 0.9 GB.
 MAX_WINDOW_ROWS = 10**7
 
 
@@ -526,13 +527,17 @@ def scan(cfg: SearchConfig, force_exact: bool = False) -> Hits:
     delta = delta[order]
     n = n[order]
     # each row expands into its n rows, z counting up by step from its
-    # least, where s - z^2 = delta - step * (2z + step)
-    step = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    # least z_lo, where s - z^2 = delta - step * (2z - step).  A pair with
+    # several hits has z <= r <= t, so below t = 2^62 every term of its
+    # rows fits in int64 (a one-hit row has step 0).  Past it z, delta
+    # or 2z may not, and the rows are expanded in Python ints
+    wide = object if cfg.threshold >= 2**62 else np.int64
+    step = np.arange(n.sum(), dtype=wide) - np.repeat(np.cumsum(n) - n, n)
     x = np.repeat(x, n)
     y = np.repeat(y, n)
-    z = np.repeat(z, n)
-    delta = np.repeat(delta, n) - step * (2 * z + step)
-    return Hits(x, y, z + step, delta)
+    z = np.repeat(z, n) + step
+    delta = np.repeat(delta, n) - step * (2 * z - step)
+    return Hits(x, y, z, delta)
 
 
 def verify_hit(hit: SearchHit) -> bool:

@@ -68,11 +68,10 @@ WINDOWS = [
     "--min-x 5750 --max-x 5850 --exact-residual 33554433",
     f"--min-x {BIG_X} --max-x {BIG_X} --exact-residual {BIG_R}",
     # a threshold past 2^25: the window loop takes y < 5793, where a small
-    # pair hits up to about 5,800 times (x <= 4: 57,920 rows; x <= 10:
-    # 318,586) and a pair near x = 3000 two or three times; 5780..5810
-    # crosses y0 = 5793 into the kernel
+    # pair hits up to about 5,800 times (x <= 4: 57,920 rows) and a pair
+    # near x = 3000 two or three times; 5780..5810 crosses y0 = 5793 into
+    # the kernel
     "--max-x 4 --threshold 33554433",
-    "--max-x 10 --threshold 33554433",
     "--min-x 3000 --max-x 3100 --threshold 33554433",
     "--min-x 5780 --max-x 5810 --threshold 33554433",
     # enough work for a pool at --workers 2

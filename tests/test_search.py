@@ -1097,6 +1097,33 @@ def test_hit_fields_are_python_ints(x, y):
     assert [c.dtype == np.int64 for c in hits.columns] == [True, True, z < 2**63, s - z * z < 2**63]
 
 
+@pytest.mark.parametrize(
+    "min_x, max_x, t",
+    [
+        (10**9, 10**9, 2 * 10**19),  # residuals pass 2^63, z does not
+        (1_031_111_108, 1_031_111_108, 2**63 + 2**61),  # least z fits, a later residual not
+        (2_550_000_000, 2_550_000_001, 2 * 10**19),
+        (10**9, 10**9 + 1, 2**62 + 1),
+    ],
+)
+def test_threshold_past_2_62_expands_in_exact_ints(min_x, max_x, t):
+    # a pair's hits are the z from isqrt(s + t) down while s - z^2 <= t;
+    # past KERNEL_MAX_X the window loop takes every pair, several of them
+    # hits, and scan expands their rows
+    want = []
+    for x in range(min_x, max_x + 1):
+        for y in range(x, max_x + 1):
+            s = x**4 + y**4
+            z = math.isqrt(s + t)
+            while z >= 1 and s - z * z <= t:
+                want.append((x, y, z, s - z * z))
+                z -= 1
+    want.sort(key=lambda h: (h[1], h[0], h[2]))
+    hits = scan(SearchConfig(min_x=min_x, max_x=max_x, threshold=t))
+    assert len(want) > max_x - min_x + 1
+    assert hits == want and all(map(verify_hit, hits))
+
+
 def test_kernel_min_x():
     for t in (0, 1, 7, 8, 50, 239, 20000, 10**12, 2**50 + 3):
         x = _kernel_min_x(t)
