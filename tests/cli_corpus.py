@@ -67,6 +67,12 @@ WINDOWS = [
     "--min-x 5700 --max-x 5900 --exact-residual -33554432",
     "--min-x 5750 --max-x 5850 --exact-residual 33554433",
     f"--min-x {BIG_X} --max-x {BIG_X} --exact-residual {BIG_R}",
+    # one kernel hit each at the extremes of the exact window's float
+    # filter: s past 2^64, where the root of (55111, 55118) rounds 2^-20
+    # above its z, and max_x past 2^24, where the filter passes every pair
+    # and the root of (29398946, 29398948) rounds 1/4 below its z
+    "--min-x 55105 --max-x 55125 --exact-residual -2900491504",
+    "--min-x 29398940 --max-x 29398950 --exact-residual 213663253265408",
     # a threshold past 2^25: the window loop takes y < 5793, where a small
     # pair hits up to about 5,800 times (x <= 4: 57,920 rows) and a pair
     # near x = 3000 two or three times; 5780..5810 crosses y0 = 5793 into
