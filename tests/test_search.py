@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +400,97 @@ def test_kernel_row_is_exact_isqrt(pair):
             assert d_j == s - r_j * r_j
 
 
+def float_roots(x, y, residual):
+    """The exact window's float root of s - R, as the kernel forms it, with
+    x's table first and with y's first: the square block holds both."""
+    _, f4 = _pow4(np.array([x, y], dtype=np.int64))
+    return [float(np.sqrt(f4[a] + (f4[b] - residual))) for a, b in ((0, 1), (1, 0))]
+
+
+@st.composite
+def exact_kernel_pairs(draw):
+    """(x, y, R): a pair near BOUNDARY_X and an exact residual in the
+    kernel's range there, |R| < sqrt(s) (which also holds every
+    |R| <= 2^25): any such R, or s - z^2 for the z nearest sqrt(s), so that
+    s - R is a square, or one off it."""
+    x, y = draw(boundary_pairs())
+    s = x**4 + y**4
+    r = math.isqrt(s)
+    square = s - min(r, r + 1, key=lambda z: abs(s - z * z)) ** 2
+    bound = math.isqrt(s - 1)
+    residual = draw(
+        st.one_of(
+            st.integers(-bound, bound),
+            st.just(square),
+            st.sampled_from([square - 1, square + 1]),
+        )
+    )
+    assume(residual**2 < s)
+    return x, y, residual
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_kernel_pairs())
+def test_exact_root_is_within_eps_of_the_true_root(case):
+    # the float root of every N = s - R, square or not, lies within eps of
+    # sqrt(N), checked in exact rationals: (e - eps)^2 <= N <= (e + eps)^2.
+    # eps is taken at max_x = y, the least of any scan holding the pair
+    x, y, residual = case
+    n = x**4 + y**4 - residual
+    eps = Fraction(search._root_tolerance(y))
+    assert 0 < eps < Fraction(1, 2) or y >= 2**24
+    for e in map(Fraction, float_roots(x, y, residual)):
+        assert (e - eps) ** 2 <= n <= (e + eps) ** 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(KERNEL_MAX_X - 64, KERNEL_MAX_X), min_size=2, max_size=2),
+    st.integers(-1, 1),
+)
+def test_exact_root_rounds_to_the_square_where_eps_is_one_half(pair, dz):
+    # at the top of the kernel's range eps is 1/2, so every pair is a
+    # candidate, and rint of the float root is still isqrt(N) at a square N
+    x, y = sorted(pair)
+    s = x**4 + y**4
+    z = math.isqrt(s) + dz
+    residual = s - z * z
+    assume(residual**2 < x**4)  # the kernel's range past 2^25: y^4 > R^2
+    assert search._root_tolerance(KERNEL_MAX_X - 64) == 0.5
+    assert [round(e) for e in float_roots(x, y, residual)] == [z, z]
+    p4, f4 = _pow4(np.array([x, y], dtype=np.int64))
+    k, roots = search._exact_roots(p4[:1], f4[:1], p4[1:] - residual, f4[1:] - residual, 0.5)
+    assert (k.tolist(), roots.tolist()) == ([0], [z])
+    cfg = SearchConfig(min_x=x, max_x=y, exact_residual=residual)
+    assert (x, y, z, residual) in scan(cfg)
+
+
+@pytest.mark.parametrize(
+    "x, y, miss",
+    [
+        (55111, 55118, 2**-20),
+        (55129, 55147, -(2**-20)),
+        (29398946, 29398948, -0.25),
+        (29910732, 29910739, 0.25),
+    ],
+)
+def test_exact_window_finds_squares_whose_root_misses(x, y, miss):
+    # the float root of a square N = z^2 misses z by a rounding here: by
+    # 2^-20 either side where eps is about 5.4e-6 (s past 2^64) and the
+    # filter picks the candidates, and by a quarter either side where eps
+    # is 1/2 and every pair is checked.  The pairs within 64 of
+    # KERNEL_MAX_X have no such miss: their fourth powers round off only
+    # low bits
+    s = x**4 + y**4
+    z = min(math.isqrt(s), math.isqrt(s) + 1, key=lambda z: abs(s - z * z))
+    residual = s - z * z
+    assert [e - z for e in float_roots(x, y, residual)] == [miss, miss]
+    assert abs(miss) <= search._root_tolerance(y)
+    cfg = SearchConfig(min_x=x, max_x=y, exact_residual=residual)
+    assert _kernel_y_start(cfg) == x
+    assert scan(cfg) == [(x, y, z, residual)]
+
+
 @pytest.mark.parametrize("skew", [1 + 2**-41, 1 - 2**-41])
 def test_kernel_repairs_off_by_one_estimates(skew):
     # below KERNEL_MAX_X the float estimate is rarely off by one, and no
@@ -514,7 +606,7 @@ def test_processes_follow_the_kept_work(monkeypatch):
         (SearchConfig(max_x=7000, exact_residual=8, workers=2), 1),
         (SearchConfig(min_x=51948, max_x=52967, exact_residual=8, workers=2), 1),
         (SearchConfig(max_x=400, threshold=20000, workers=2), 1),
-        # 3.4M kept pairs, and 4.8M: two processes tie with one near 5M
+        # 3.4M kept pairs, and 4.8M: two processes first run at 2^22
         (SearchConfig(max_x=10000, exact_residual=8, workers=2), 1),
         (SearchConfig(max_x=12000, exact_residual=8, workers=2), 2),
         # a threshold up to INTERVAL_MAX_T has no band: 500,500 kernel
