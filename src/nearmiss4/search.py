@@ -20,16 +20,13 @@ pair with y >= y0, for every window, over the square y0 <= x <= y and
 the rectangle x < y0 <= y, and chooses its test by the window alone.
 
 An exact window, lo = hi = R, needs only whether N = s - R is a square.
-The kernel takes the float64 root e = sqrt(x^4 + y^4 - R) of every pair
-and keeps as candidates the pairs with |e - rint(e)| <= eps, where
-eps = min(1/2, max_x^2 * 2^-49) bounds the root's error at every square
-N with a factor of 4 to spare (see KERNEL_MAX_X).  Only a candidate
-forms N in int64, wrapping mod 2^64, and it hits iff rint(e)^2 = N
-there, a test that is exact; its row is (x, y, rint(e), R, 1).  A pair
-whose root is far from every integer thus costs one float sum, one
-square root and the filter, and no int64 sum.  From max_x = 2^21.5 on
-the filter would pass so many pairs that every pair is a candidate,
-checked in place over its block (FILTER_MAX_EPS).
+The kernel takes the float64 root e = sqrt(x^4 + y^4 - R) of every pair,
+which errs by under 0.45 (see KERNEL_MAX_X), so rint(e) = z at every
+square N = z^2.  A pair hits iff rint(e)^2 = N mod 2^64, a test that is
+exact; its row is (x, y, rint(e), R, 1).  The test runs in place over
+each block: one float sum, a square root and rint, then rint(e)^2 minus
+the two int64 tables, with no integer square root and no +/-1
+correction.
 
 A threshold window forms s - lo in int64 and lets it wrap mod 2^64,
 estimates r as sqrt(x^4 + y^4 - lo) in float64, and forms
@@ -126,20 +123,11 @@ __all__ = ["Hits", "SearchConfig", "SearchHit", "processes", "scan", "verify_hit
 # r - 1, r or r + 1, which the +/-1 correction repairs.  x^2 <= 2^50 is
 # exact in both tables, so x^4 is rounded once.
 #
-# An exact window R needs the root e of every square N = s - R = z^2
-# within eps of z.  Below s = 2^53 - 2^25 with |R| <= 2^25, every table
-# value and N itself are exact, so e = z: the square root is correctly
-# rounded.  Every other kernel pair has |R| < sqrt(s), and the roundings
-# of x^4, of y^4 and of y^4 - R, of the sum and of the square root give
-# |e - z| <= 2.5 * 2^-53 * z * (1 + 2^-20).  With z <= sqrt(2) * max_x^2
-# + 1 that is below 2^-51 * max_x^2, so eps = min(1/2, max_x^2 * 2^-49)
-# (_root_tolerance) leaves a factor of 4.  From max_x = 2^21.5 on
-# (FILTER_MAX_EPS) every pair is checked, and from max_x = 2^24 on eps is
-# 1/2; there the 0.45 bound above still makes rint(e) = z.  The check of
-# a candidate is exact: |sqrt(N) - e| < 0.45
-# for any N, so rho = rint(e) has |sqrt(N) - rho| < 0.95 and
-# |N - rho^2| < 0.95 * (2 * sqrt(N) + 1) < 2^63, and rho^2 = N mod 2^64
-# means rho^2 = N.
+# An exact window R takes e = sqrt(x^4 + (y^4 - R)) in float64 with
+# the same bound, |e - sqrt(N)| < 0.45 for N = s - R, so at a square
+# N = z^2, rho = rint(e) is z.  Its check is exact: |sqrt(N) - rho| <
+# 0.95, so |N - rho^2| < 0.95 * (2 * sqrt(N) + 1) < 2^63, and
+# rho^2 = N mod 2^64 means rho^2 = N.
 KERNEL_MAX_X = 2**25
 
 # Largest t = max(-lo, hi) whose window starts the kernel at
@@ -178,34 +166,20 @@ SIEVE_BLOCK_PAIRS = 2**13
 
 # Least estimated work, in kept kernel pairs, that earns a scan a
 # process of its own: a scan runs at most one stripe per this many, so
-# two processes first run at 2^22 kept pairs.  A threshold window's kept
-# pair takes 11-12 ns (t = 9 to max_x 3000, in-process), and an exact
-# window's 5-6 ns, since only its float filter's candidates take the
-# int64 check.  On 2 vCPUs two processes tie with one for an exact
-# window at about 9-19M kept pairs, the cost of a pool start (exact
-# residual 8, one scan per fresh process, medians of 7, 1 / 2
-# processes: max_x 10000, 3.4M kept, 20 / 46 ms; 12000, 4.8M, 24 /
-# 37 ms; 16000, 8.6M, 51 / 53 ms; 20000, 13.4M, 71 / 69 ms; 24000,
-# 19.3M, 108 / 110 ms; 28000, 26.3M, 173 / 120 ms).
+# two processes first run at 2^22 kept pairs.  On 2 vCPUs (in-process
+# medians of 7) a threshold window's kept pair took 13-17 ns (t = 9 to
+# max_x 3000) and an exact window's 9.6-9.9 ns (R = 8 to max_x 20000),
+# since it takes no integer square root.  Two processes tie with one
+# for an exact window between 8.6M and 19.3M kept pairs, the cost of a
+# pool start (exact residual 8, one scan per fresh process, medians of
+# 7, 1 / 2 processes: max_x 10000, 3.4M kept, 37 / 56 ms; 12000, 4.8M,
+# 50 / 63 ms; 16000, 8.6M, 91 / 96 ms; 20000, 13.4M, 116 / 116 ms;
+# 24000, 19.3M, 182 / 139 ms; 28000, 26.3M, 181 / 172 ms).
 MIN_STRIPE_PAIRS = 2**21
 
-# Least eps (_root_tolerance) from which an exact window checks every
-# pair in int64 instead of its float filter's candidates: max_x =
-# 2^21.5, about 2.97M.  The filter passes about 2 * eps of the pairs,
-# and gathering a candidate costs more than checking a pair in a
-# whole-block pass.  One block, 2 vCPUs, ns a pair, filter at eps =
-# 2^-20 / every pair: 8192 pairs near x = 5000, 3.7 / 4.3; near x =
-# 2^25, where a quarter of the roots are integers, 8.0 / 4.3.
-# In-process medians of 9 over min_x..min_x + 3000, R = 8 and R = 0,
-# filter / every pair: min_x 10^6, 2.3 / 2.7 and 11.3 / 12.5 ms; 2.1M,
-# 2.8 / 2.8 and 12.7 / 13.1 ms; 3M, 2.8 / 3.2 and 17.2 / 14.3 ms; 4M,
-# 3.1 / 2.7 and 16.8 / 12.8 ms; 33.55M, where eps is 1/2, 9.6 / 2.6 and
-# 40 / 13 ms.
-FILTER_MAX_EPS = 2**-6
-
 # Cost of one band pair, which the window loop takes, in kept kernel
-# pairs.  Against 10-12 ns per kept kernel pair of a threshold window
-# (5-6 ns of an exact one, see MIN_STRIPE_PAIRS), a window-loop pair,
+# pairs.  Against 11-17 ns per kept kernel pair of a threshold window
+# (about 10 ns of an exact one, see MIN_STRIPE_PAIRS), a window-loop pair,
 # scan's expansion of its rows included, took 0.5-0.6 us for an exact
 # window (R = 8) and 1.2-2.4 us for a threshold (t = 20000 and 100000 to
 # max_x 400, about 1 and 4.3 rows a pair, and t = 2^25 + 1 over
@@ -406,43 +380,24 @@ def _isqrt(s: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, d
 
 
-def _root_tolerance(max_x: int) -> float:
-    """epsilon of the exact window's float filter, min(1/2, max_x^2 * 2^-49):
-    four times the float root's error bound (see KERNEL_MAX_X)."""
-    return min(0.5, max_x**2 / 2**49)
-
-
 def _exact_roots(
-    p4x: np.ndarray, f4x: np.ndarray, p4s: np.ndarray, f4s: np.ndarray, eps: float
+    p4x: np.ndarray, f4x: np.ndarray, p4s: np.ndarray, f4s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(k, z): the flat indexes k into the block of pairs whose
     N = p4x[a] + p4s[b], held mod 2^64, is a square z^2, k = a * width + b
     with width = p4s.size, and those z.  f4x and f4s are the float64
-    tables of p4x and p4s.  A pair is a candidate iff the float root e of
-    its N lies within eps of an integer, and a candidate is kept iff
-    rint(e)^2 = N mod 2^64, which is exact (see KERNEL_MAX_X).  From
-    eps = FILTER_MAX_EPS on, every pair is a candidate."""
-    e = np.add.outer(f4x, f4s).ravel()
+    tables of p4x and p4s.  A pair is kept iff rint(e)^2 = N mod 2^64 for
+    the float root e of its N, which is exact (see KERNEL_MAX_X)."""
+    # rint(e)^2 - p4x == p4s in place: two 64 KB buffers a block, so that
+    # glibc does not trim the heap and fault it back in
+    e = np.add.outer(f4x, f4s)
     np.sqrt(e, out=e)
-    if eps >= FILTER_MAX_EPS:
-        # d = rint(e)^2 - N for every pair, in place: two 64 KB buffers a
-        # block, so that glibc does not trim the heap and fault it back in
-        np.rint(e, out=e)
-        d = e.astype(np.int64)
-        np.multiply(d, d, out=d)
-        block = d.reshape(p4x.size, p4s.size)
-        block -= p4x[:, None]
-        block -= p4s[None, :]
-        k = np.flatnonzero(d == 0)
-        return k, e[k].astype(np.int64)
-    off = np.rint(e)
-    np.subtract(e, off, out=off)
-    np.abs(off, out=off)
-    k = np.flatnonzero(off <= eps)
-    z = np.rint(e[k]).astype(np.int64)
-    width = p4s.size
-    square = z * z == p4x[k // width] + p4s[k % width]
-    return k[square], z[square]
+    np.rint(e, out=e)
+    d = e.astype(np.int64)
+    np.multiply(d, d, out=d)
+    d -= p4x[:, None]
+    k = np.flatnonzero(d == p4s)
+    return k, e.ravel()[k].astype(np.int64)
 
 
 def _reach(lo: int, hi: int, m: int = SIEVE_MODULUS) -> np.ndarray:
@@ -481,7 +436,6 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Column
     m = SIEVE_MODULUS
     reach = _reach(lo, hi)
     span = hi - lo
-    eps = _root_tolerance(max_x)
     v = np.arange(min_x, max_x + 1, dtype=np.int64)
     p4, f4 = _pow4(v)
     u = (v % m) ** 4 % m  # the class of v: v^4 mod M, one of 20 values
@@ -512,7 +466,7 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Column
                     width = min(w, ys.size - j)
                     if not span:  # an exact window: d = 0 and n = 1
                         k, z = _exact_roots(
-                            p4x[i : i + h], f4x[i : i + h], p4s[j : j + w], f4s[j : j + w], eps
+                            p4x[i : i + h], f4x[i : i + h], p4s[j : j + w], f4s[j : j + w]
                         )
                         if k.size:
                             d = np.zeros_like(z)

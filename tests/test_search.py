@@ -401,8 +401,8 @@ def test_kernel_row_is_exact_isqrt(pair):
 
 
 def float_roots(x, y, residual):
-    """The exact window's float root of s - R, as the kernel forms it, with
-    x's table first and with y's first: the square block holds both."""
+    """The exact window's float root of s - R, as _exact_roots forms it,
+    with x's table first and with y's first: the square block holds both."""
     _, f4 = _pow4(np.array([x, y], dtype=np.int64))
     return [float(np.sqrt(f4[a] + (f4[b] - residual))) for a, b in ((0, 1), (1, 0))]
 
@@ -431,38 +431,24 @@ def exact_kernel_pairs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(exact_kernel_pairs())
-def test_exact_root_is_within_eps_of_the_true_root(case):
-    # the float root of every N = s - R, square or not, lies within eps of
-    # sqrt(N), checked in exact rationals: (e - eps)^2 <= N <= (e + eps)^2.
-    # eps is taken at max_x = y, the least of any scan holding the pair
+def test_exact_roots_find_exactly_the_squares(case):
+    # the float root of every N = s - R, square or not, lies within 0.45 of
+    # sqrt(N), checked in exact rationals, so rint of it is z at a square
+    # N = z^2; and _exact_roots keeps the pair, with that z, iff N is a
+    # square, from either table order
     x, y, residual = case
     n = x**4 + y**4 - residual
-    eps = Fraction(search._root_tolerance(y))
-    assert 0 < eps < Fraction(1, 2) or y >= 2**24
+    bound = Fraction(45, 100)
     for e in map(Fraction, float_roots(x, y, residual)):
-        assert (e - eps) ** 2 <= n <= (e + eps) ** 2
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.integers(KERNEL_MAX_X - 64, KERNEL_MAX_X), min_size=2, max_size=2),
-    st.integers(-1, 1),
-)
-def test_exact_root_rounds_to_the_square_where_eps_is_one_half(pair, dz):
-    # at the top of the kernel's range eps is 1/2, so every pair is a
-    # candidate, and rint of the float root is still isqrt(N) at a square N
-    x, y = sorted(pair)
-    s = x**4 + y**4
-    z = math.isqrt(s) + dz
-    residual = s - z * z
-    assume(residual**2 < x**4)  # the kernel's range past 2^25: y^4 > R^2
-    assert search._root_tolerance(KERNEL_MAX_X - 64) == 0.5
-    assert [round(e) for e in float_roots(x, y, residual)] == [z, z]
+        assert (e - bound) ** 2 <= n <= (e + bound) ** 2
+    z = math.isqrt(n)
+    want = ([0], [z]) if z * z == n else ([], [])
     p4, f4 = _pow4(np.array([x, y], dtype=np.int64))
-    k, roots = search._exact_roots(p4[:1], f4[:1], p4[1:] - residual, f4[1:] - residual, 0.5)
-    assert (k.tolist(), roots.tolist()) == ([0], [z])
-    cfg = SearchConfig(min_x=x, max_x=y, exact_residual=residual)
-    assert (x, y, z, residual) in scan(cfg)
+    for a, b in ((0, 1), (1, 0)):
+        k, roots = search._exact_roots(
+            p4[a : a + 1], f4[a : a + 1], p4[b : b + 1] - residual, f4[b : b + 1] - residual
+        )
+        assert (k.tolist(), roots.tolist()) == want
 
 
 @pytest.mark.parametrize(
@@ -476,16 +462,14 @@ def test_exact_root_rounds_to_the_square_where_eps_is_one_half(pair, dz):
 )
 def test_exact_window_finds_squares_whose_root_misses(x, y, miss):
     # the float root of a square N = z^2 misses z by a rounding here: by
-    # 2^-20 either side where eps is about 5.4e-6 (s past 2^64) and the
-    # filter picks the candidates, and by a quarter either side where eps
-    # is 1/2 and every pair is checked.  The pairs within 64 of
+    # 2^-20 either side where s passes 2^64, and by a quarter either side
+    # near the top of the kernel's range.  The pairs within 64 of
     # KERNEL_MAX_X have no such miss: their fourth powers round off only
     # low bits
     s = x**4 + y**4
     z = min(math.isqrt(s), math.isqrt(s) + 1, key=lambda z: abs(s - z * z))
     residual = s - z * z
     assert [e - z for e in float_roots(x, y, residual)] == [miss, miss]
-    assert abs(miss) <= search._root_tolerance(y)
     cfg = SearchConfig(min_x=x, max_x=y, exact_residual=residual)
     assert _kernel_y_start(cfg) == x
     assert scan(cfg) == [(x, y, z, residual)]
