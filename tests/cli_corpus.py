@@ -130,6 +130,12 @@ ARGVS = [
     ["search", "--max-x", "2000", "--exact-residual", "-1976"],
     ["search", "--min-x", "20", "--max-x", "3000", "--exact-residual", "8"],
     ["search", "--min-x", "1000", "--max-x", "3000", "--exact-residual", "8", "--workers", "2"],
+    # past MAX_WINDOW_ROWS: 210 pairs of about 10^6 hits each, refused with
+    # empty stdout and exit 2
+    *(
+        ["search", "--max-x", "20", "--threshold", "1000000000000", "--workers", str(workers)]
+        for workers in (1, 2)
+    ),
 ]
 
 
