@@ -81,8 +81,9 @@ kernel is tested against, and it takes the band y < y0: y <= R^(1/4)
 for an exact residual 0 < R <= INTERVAL_MAX_T, at most 76 values of y
 and 2926 pairs; y <= sqrt(t) past INTERVAL_MAX_T; and every pair under
 force_exact or when max_x is above KERNEL_MAX_X (y0 is then max_x + 1).
-Threshold configs that could emit more than MAX_WINDOW_ROWS rows beyond
-one per pair are refused before anything runs.
+Both paths count their rows, the n of each hit pair, as they go, and a
+scan whose rows pass MAX_WINDOW_ROWS is refused with a ValueError once
+a count passes it, before any row is expanded.
 
 The x values of the band and of each class of each kernel region are
 split into interleaved stripes, one process each, at most one per CPU
@@ -189,15 +190,20 @@ MIN_STRIPE_PAIRS = 2**21
 # pairs, and a threshold has band pairs only past it.
 BAND_PAIR_WEIGHT = 100
 
-# Most rows a threshold scan may add beyond one per pair, as bounded by
-# _extra_rows_bound.  Both paths return one row per hit pair, and scan's
-# expansion builds every row as four int64 columns (z and delta object
-# past a threshold of 2^62) held until the scan ends; a scan peaks at
-# about 83 bytes per row: `search --threshold 100000 --max-x 3000`,
-# 571,035 rows, peaks at 79 MB in a fresh process, 32 MB of it the
-# interpreter and numpy, and `search --threshold 33554433 --max-x 10`,
-# 318,586 rows from 55 window-loop pairs, at 45 MB.  So 10^7 extra rows
-# take about 0.9 GB.
+# Most rows a scan may return.  The kernel counts its rows block by
+# block, the window loop x by x, and scan the merged total of its
+# stripes; each raises a ValueError once its count passes the cap.  So a
+# scan is refused iff its rows pass the cap, at any worker count, and
+# each path of a stripe stops within one block, or one x, of it.  Peaks
+# in fresh processes on 2 vCPUs, 32 MB of each the interpreter and numpy:
+# a refusal holds about 38 B a row in the kernel, five int64 columns
+# (`search --min-x 1000000 --max-x 1100000 --threshold 10^12`: 0.6 s and
+# 426 MB, 871 MB summed over the two stripes of --workers 2), and 176 B a
+# row in the window loop, as Python tuples (caps of 2.5e5 to 10^6 over
+# 20000..22000 at t = 5 * 10^8), about 1.8 GB at the cap (extrapolated).
+# An accepted search peaks at about 122 B a row from the kernel
+# (1000000..1002000 at t = 10^12: 1,413,764 rows, 204 MB) and 280 B from
+# the window loop (10000..11000 at t = 1.4 * 10^8: 450,344 rows, 158 MB).
 MAX_WINDOW_ROWS = 10**7
 
 
@@ -220,11 +226,6 @@ class SearchConfig:
             raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {self.workers}")
         if self.exact_residual is not None and self.threshold != 0:
             raise ValueError("give either threshold or exact_residual, not both")
-        if self.exact_residual is None and _extra_rows_bound(self) > MAX_WINDOW_ROWS:
-            raise ValueError(
-                f"threshold {self.threshold} over x in {self.min_x}..{self.max_x} could "
-                f"add more than {MAX_WINDOW_ROWS} rows; narrow the range or the threshold"
-            )
 
     @property
     def window(self) -> tuple[int, int]:
@@ -297,6 +298,14 @@ def _scan_x_exact(x: int, y_end: int, lo: int, hi: int) -> list[_Row]:
     return rows
 
 
+def _count_rows(total: int) -> int:
+    """total, the rows counted so far; a ValueError once it passes
+    MAX_WINDOW_ROWS."""
+    if total > MAX_WINDOW_ROWS:
+        raise ValueError(f"more than {MAX_WINDOW_ROWS} rows; narrow the range or the threshold")
+    return total
+
+
 def _columns(rows: list[_Row]) -> _Columns:
     """The window loop's rows, one per hit pair, as columns x, y, z,
     delta, n: int64 where every value of the column fits, else object."""
@@ -307,13 +316,6 @@ def _columns(rows: list[_Row]) -> _Columns:
         except OverflowError:
             columns.append(np.array(values, dtype=object))
     return tuple(columns)
-
-
-def _kernel_min_x(t: int) -> int:
-    """Smallest x >= 1 with 2*x^4 > t^2, from which on every pair has at
-    most one hit: the least x with x^4 > t^2 // 2, one above its integer
-    fourth root."""
-    return isqrt(isqrt(t * t // 2)) + 1
 
 
 def _kernel_y_start(cfg: SearchConfig, force_exact: bool = False) -> int:
@@ -329,31 +331,6 @@ def _kernel_y_start(cfg: SearchConfig, force_exact: bool = False) -> int:
     t = max(-lo, hi)
     b = max(lo, 0) if t <= INTERVAL_MAX_T else t * t
     return min(max(isqrt(isqrt(b)) + 1, cfg.min_x), cfg.max_x + 1)
-
-
-def _extra_rows_bound(cfg: SearchConfig) -> int:
-    """Upper bound on the rows a scan emits beyond one per pair, for a
-    threshold t.  Only a pair with x < x0 = _kernel_min_x(t) can hit
-    twice, as 2*x^4 > t^2 leaves it s > t^2.  The bound counts every y
-    for each such x, and for every x when max_x is above KERNEL_MAX_X:
-    it holds, loosely.
-
-    The hits of a pair are the z with s - t <= z^2 <= s + t, at most
-    1 + sqrt(s + t) - sqrt(max(s - t, 0)) of them.  That difference is
-    at most sqrt(2t), and at most 2t/sqrt(s) <= 2t/x^2 once s >= t, and
-    its sum over all y >= 1 is at most 2*(2t)^(3/4) + sqrt(2t).
-    """
-    t = cfg.threshold
-    x0 = _kernel_min_x(t) if cfg.max_x <= KERNEL_MAX_X else cfg.max_x + 1
-    n_x = min(max(cfg.min_x, x0), cfg.max_x + 1) - cfg.min_x
-    n_y = cfg.max_x - cfg.min_x + 1
-    root = isqrt(2 * t) + 1  # > sqrt(2t)
-    per_x = min(
-        isqrt(2 * t * n_y**2) + 1,
-        -(-2 * t * n_y // cfg.min_x**2),  # rounded up; 0 when t = 0
-        2 * (isqrt(root) + 1) ** 3 + root,
-    )
-    return n_x * per_x
 
 
 def _pow4(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -447,6 +424,7 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Column
     p4y = p4[iy] - lo  # y^4 - lo; this and the sums below wrap mod 2^64
     f4y = f4[iy] - lo
     hits: list[tuple[np.ndarray, ...]] = []
+    rows = 0  # counted block by block, so a stripe stops at the cap
     # (x indexes, square?); class g is paired with the classes g' >= g in
     # the square, which is symmetric, and with every class in the
     # rectangle, where every y exceeds every x
@@ -468,42 +446,52 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Column
                         k, z = _exact_roots(
                             p4x[i : i + h], f4x[i : i + h], p4s[j : j + w], f4s[j : j + w]
                         )
-                        if k.size:
-                            d = np.zeros_like(z)
-                            hits.append((xs[i + k // width], ys[j + k % width], z, d, d + 1))
-                        continue
-                    r, d = _isqrt(
-                        (p4x[i : i + h, None] + p4s[None, j : j + w]).ravel(),
-                        (f4x[i : i + h, None] + f4s[None, j : j + w]).ravel(),
-                    )
-                    k = np.flatnonzero(d <= span)  # d = s - lo - r^2 >= 0
-                    if not k.size:
-                        continue
-                    r, d, n = r[k], d[k], np.ones(k.size, dtype=np.int64)
-                    # the pairs that hit at r - 1 too: 2r - 1 <= span - d
-                    # needs r <= t, so s - hi - 1 < 2^52 is exact in float
-                    many = np.flatnonzero(2 * r - 1 <= span - d)
-                    if many.size:
-                        r2 = r[many] * r[many]
-                        a = np.maximum(r2 + d[many] - span - 1, 0)  # s - hi - 1
-                        z = _isqrt(a, a.astype(np.float64))[0] + 1
-                        n[many] = r[many] - z + 1
-                        d[many] += r2 - z * z
-                        r[many] = z
-                    hits.append((xs[i + k // width], ys[j + k % width], r, d, n))
+                        if not k.size:
+                            continue
+                        d = np.zeros_like(z)
+                        n = d + 1
+                    else:
+                        r, d = _isqrt(
+                            (p4x[i : i + h, None] + p4s[None, j : j + w]).ravel(),
+                            (f4x[i : i + h, None] + f4s[None, j : j + w]).ravel(),
+                        )
+                        k = np.flatnonzero(d <= span)  # d = s - lo - r^2 >= 0
+                        if not k.size:
+                            continue
+                        z, d, n = r[k], d[k], np.ones(k.size, dtype=np.int64)
+                        # the pairs that hit at r - 1 too: 2r - 1 <= span - d
+                        # needs r <= t, so s - hi - 1 < 2^52 is exact in float
+                        many = np.flatnonzero(2 * z - 1 <= span - d)
+                        if many.size:
+                            r2 = z[many] * z[many]
+                            a = np.maximum(r2 + d[many] - span - 1, 0)  # s - hi - 1
+                            z_lo = _isqrt(a, a.astype(np.float64))[0] + 1
+                            n[many] = z[many] - z_lo + 1
+                            d[many] += r2 - z_lo * z_lo
+                            z[many] = z_lo
+                    x, y = xs[i + k // width], ys[j + k % width]
+                    if square:
+                        # a pair of two values of class g appears in its
+                        # square block twice, as (x, y) and as (y, x)
+                        keep = (x <= y) | (u[y - min_x] != g)
+                        x, y, z, d, n = x[keep], y[keep], z[keep], d[keep], n[keep]
+                    rows = _count_rows(rows + int(n.sum()))
+                    hits.append((x, y, z, d, n))
     if not hits:
         return _columns([])
     x, y, z, d, n = map(np.concatenate, zip(*hits))
-    # a pair of two values of one class appears in that class's square
-    # block twice, as (x, y) and as (y, x); rectangle rows have x < y
-    keep = (x <= y) | (u[x - min_x] != u[y - min_x])
-    return np.minimum(x, y)[keep], np.maximum(x, y)[keep], z[keep], d[keep] + lo, n[keep]
+    return np.minimum(x, y), np.maximum(x, y), z, d + lo, n
 
 
 def _scan_stripe(cfg: SearchConfig, index: int, stride: int, y0: int) -> _Columns:
     lo, hi = cfg.window
-    xs = range(cfg.min_x + index, y0, stride)
-    band = _columns([row for x in xs for row in _scan_x_exact(x, y0, lo, hi)])
+    rows: list[_Row] = []
+    total = 0  # counted x by x, so a stripe stops at the cap
+    for x in range(cfg.min_x + index, y0, stride):
+        found = _scan_x_exact(x, y0, lo, hi)
+        total = _count_rows(total + sum(row[4] for row in found))
+        rows += found
+    band = _columns(rows)
     if y0 > cfg.max_x:
         return band
     return tuple(map(np.concatenate, zip(band, _scan_kernel(cfg, y0, index, stride))))
@@ -557,7 +545,8 @@ def scan(cfg: SearchConfig, force_exact: bool = False) -> Hits:
 
     force_exact switches off the vectorized kernel, so that the window
     loop takes every pair; results are identical either way (asserted by
-    the test suite on overlap ranges).
+    the test suite on overlap ranges).  Raises ValueError once the rows
+    counted pass MAX_WINDOW_ROWS.
     """
     stripes = processes(cfg, force_exact)
     y0 = _kernel_y_start(cfg, force_exact)
@@ -568,6 +557,7 @@ def scan(cfg: SearchConfig, force_exact: bool = False) -> Hits:
         with Pool(stripes) as pool:
             parts = pool.starmap(_scan_stripe, jobs)
         x, y, z, delta, n = map(np.concatenate, zip(*parts))
+    rows = _count_rows(int(n.sum()))
     # every row is one hit pair, its least z with its count n of hits, so
     # a sort by (y, x) alone orders the rows.  Each column is gathered on
     # its own line, so that its unsorted copy is freed before the next
@@ -583,7 +573,7 @@ def scan(cfg: SearchConfig, force_exact: bool = False) -> Hits:
     # rows fits in int64 (a one-hit row has step 0).  Past it z, delta
     # or 2z may not, and the rows are expanded in Python ints
     wide = object if cfg.threshold >= 2**62 else np.int64
-    step = np.arange(n.sum(), dtype=wide) - np.repeat(np.cumsum(n) - n, n)
+    step = np.arange(rows, dtype=wide) - np.repeat(np.cumsum(n) - n, n)
     x = np.repeat(x, n)
     y = np.repeat(y, n)
     z = np.repeat(z, n) + step

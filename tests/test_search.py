@@ -27,9 +27,7 @@ from nearmiss4.search import (
     Hits,
     SearchConfig,
     SearchHit,
-    _extra_rows_bound,
     _isqrt,
-    _kernel_min_x,
     _kernel_y_start,
     _pow4,
     _reach,
@@ -841,8 +839,7 @@ def test_kernel_y_start():
         assert _kernel_y_start(SearchConfig(max_x=10**7, threshold=t)) == 1
         assert _kernel_y_start(SearchConfig(min_x=9, max_x=10**7, threshold=t)) == 9
     for t in (INTERVAL_MAX_T + 1, 10**12):
-        # min_x at x0 = _kernel_min_x(t) adds no row to refuse
-        y = _kernel_y_start(SearchConfig(min_x=_kernel_min_x(t), max_x=10**7, threshold=t))
+        y = _kernel_y_start(SearchConfig(max_x=10**7, threshold=t))
         assert y**4 > t * t >= (y - 1) ** 4
     for t in (0, 1, 15, 16, 17, 1293, 1296, 4096, 10**6 + 3, INTERVAL_MAX_T - 1, INTERVAL_MAX_T):
         for residual in (t, -t):
@@ -1200,36 +1197,109 @@ def test_threshold_past_2_62_expands_in_exact_ints(min_x, max_x, t):
     assert hits == want and all(map(verify_hit, hits))
 
 
-def test_kernel_min_x():
-    for t in (0, 1, 7, 8, 50, 239, 20000, 10**12, 2**50 + 3):
-        x = _kernel_min_x(t)
-        assert 2 * x**4 > t * t >= 2 * (x - 1) ** 4
+def test_huge_threshold_window_is_refused(monkeypatch):
+    # every pair takes the window loop: x = 1's 20 pairs hit about 10^6
+    # times each (2.1e8 rows in all), and past KERNEL_MAX_X x = 2^25's 1001
+    # pairs about 6 * 10^4 times each, so the loop stops after its first x
+    loop = recording(monkeypatch, "_scan_x_exact")
+    for cfg in (
+        SearchConfig(max_x=20, threshold=10**12),
+        SearchConfig(min_x=KERNEL_MAX_X, max_x=KERNEL_MAX_X + 1000, threshold=10**20),
+    ):
+        loop.clear()
+        with pytest.raises(ValueError, match=f"more than {MAX_WINDOW_ROWS} rows"):
+            scan(cfg)
+        assert len(loop) == 1
 
 
-def test_huge_threshold_window_is_refused():
-    # about 2.1e8 rows; refused before anything runs
-    with pytest.raises(ValueError, match="rows"):
-        SearchConfig(max_x=20, threshold=10**12)
-    with pytest.raises(ValueError, match="rows"):
-        SearchConfig(min_x=KERNEL_MAX_X, max_x=KERNEL_MAX_X + 1000, threshold=10**20)
+def refused_by(excinfo) -> str:
+    """The function whose count of rows passed the cap."""
+    assert excinfo.traceback[-1].name == "_count_rows"
+    return excinfo.traceback[-2].name
 
 
-def test_extra_rows_bound_holds_and_admits_the_dense_workload():
-    for max_x, threshold in ((60, 50), (40, 2000), (25, 30), (12, 10**5)):
-        cfg = SearchConfig(max_x=max_x, threshold=threshold)
-        # only a pair with x < x0 can hit twice
-        x0 = min(_kernel_min_x(threshold), max_x + 1)
-        window_rows = [h for h in scan(cfg, force_exact=True) if h.x < x0]
-        window_pairs = sum(max_x - x + 1 for x in range(1, x0))
-        assert len(window_rows) <= window_pairs + _extra_rows_bound(cfg)
-    for max_x in range(393, 401):  # the scan-dense benchmark configs
-        assert _extra_rows_bound(SearchConfig(max_x=max_x, threshold=20000)) <= MAX_WINDOW_ROWS
-    # past KERNEL_MAX_X every pair takes the window loop, yet a small
-    # threshold adds at most one row per x
-    cfg = SearchConfig(min_x=2 * KERNEL_MAX_X, max_x=2 * KERNEL_MAX_X + 10**4, threshold=10**6)
-    assert _extra_rows_bound(cfg) == 10**4 + 1
-    cfg = SearchConfig(min_x=2 * KERNEL_MAX_X, max_x=2 * KERNEL_MAX_X + 10**8)
-    assert _extra_rows_bound(cfg) == 0  # threshold 0 adds no row
+def test_window_of_one_hit_pairs_is_refused(monkeypatch):
+    # y < isqrt(t) + 1 = 11833 for every pair, so the window loop takes
+    # all 501,501 and returns 450,344 rows with no cap.  Each pair has
+    # s > t^2 and so at most one hit: only a count of the rows refuses it
+    monkeypatch.setattr(search, "MAX_WINDOW_ROWS", 10**5)
+    cfg = SearchConfig(min_x=10000, max_x=11000, threshold=140_000_000)
+    assert _kernel_y_start(cfg) == cfg.max_x + 1
+    loop = recording(monkeypatch, "_scan_x_exact")
+    with pytest.raises(ValueError, match="more than 100000 rows") as excinfo:
+        scan(cfg)
+    assert refused_by(excinfo) == "_scan_stripe"
+    # the loop stops at the first x whose rows pass the cap
+    counts = [sum(row[4] for row in rows) for _, rows in loop]
+    assert sum(counts[:-1]) <= 10**5 < sum(counts)
+
+
+@pytest.mark.parametrize("force_exact, path", [(False, "_scan_kernel"), (True, "_scan_stripe")])
+def test_kernel_window_of_one_hit_pairs_is_refused(monkeypatch, force_exact, path):
+    # 2,003,001 pairs with s > t^2, so one hit each at most, and 1,413,764
+    # rows with no cap; the kernel takes every pair with y > 10^6
+    monkeypatch.setattr(search, "MAX_WINDOW_ROWS", 10**5)
+    cfg = SearchConfig(min_x=10**6, max_x=10**6 + 2000, threshold=10**12)
+    assert _kernel_y_start(cfg) == 10**6 + 1
+    with pytest.raises(ValueError, match="more than 100000 rows") as excinfo:
+        scan(cfg, force_exact=force_exact)
+    assert refused_by(excinfo) == path
+
+
+@pytest.mark.parametrize("stripes", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SearchConfig(max_x=60, threshold=50),  # kernel rows of several hits
+        SearchConfig(min_x=3000, max_x=3100, threshold=INTERVAL_MAX_T + 1),  # window loop
+        SearchConfig(max_x=3000, exact_residual=8),  # exact kernel rows
+    ],
+)
+def test_scan_is_refused_iff_its_rows_pass_the_cap(monkeypatch, in_process_pool, cfg, stripes):
+    # a stripe refuses once its own rows pass the cap, and scan once the
+    # stripes' total does, so the rule holds at any number of stripes
+    hits = scan(cfg)
+    assert hits
+    monkeypatch.setattr(search, "processes", lambda *args: stripes)
+    monkeypatch.setattr(search, "MAX_WINDOW_ROWS", len(hits))
+    assert scan(cfg) == hits
+    monkeypatch.setattr(search, "MAX_WINDOW_ROWS", len(hits) - 1)
+    with pytest.raises(ValueError, match=f"more than {len(hits) - 1} rows"):
+        scan(cfg)
+    assert [pool.processes for pool in in_process_pool] == [stripes] * 2 * (stripes > 1)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+def test_refused_window_peaks_near_an_empty_scan():
+    # a fresh process reports its own peak: the suite's RUSAGE_CHILDREN
+    # holds the largest peak of any process the suite has run.  The window
+    # of test_window_of_one_hit_pairs_is_refused peaks 126 MB above an
+    # empty scan when it is held whole, and about 16 MB when it is refused
+    code = (
+        "import resource, sys\n"
+        "from nearmiss4 import cli, search\n"
+        "search.MAX_WINDOW_ROWS = 10**5\n"
+        "status = cli.main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024, file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(search.__file__).parents[1]))
+
+    def run(*window):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "search", *window],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        return proc.returncode, proc.stdout, int(proc.stderr.split()[-1])
+
+    status, _, empty = run("--min-x", "5", "--max-x", "5")
+    assert status == 0
+    status, out, peak = run("--min-x", "10000", "--max-x", "11000", "--threshold", "140000000")
+    assert (status, out) == (2, "")
+    assert peak - empty < 50  # MB
 
 
 def test_no_delta_zero_ever():
