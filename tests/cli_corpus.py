@@ -57,6 +57,11 @@ WINDOWS = [
     "--max-x 1500 --exact-residual 1296",
     "--max-x 1500 --exact-residual 1000003",
     "--max-x 1500 --exact-residual -1000003",
+    # exact windows whose classes mod 432 each hold four kernel blocks or
+    # more: R = 8 to 7000 (11 hits), and R = 72 = 2 (mod 5) and 7 (mod 13)
+    # to 5000 (27 hits)
+    "--max-x 7000 --exact-residual 8",
+    "--max-x 5000 --exact-residual 72",
     # |R| = 2^25 and one past it: y0 = 77 for 2^25, and isqrt(|R|) + 1 =
     # 5793 past it, so x <= 300 is all band and 5750..5850 crosses y0
     "--max-x 400 --exact-residual 33554432",
