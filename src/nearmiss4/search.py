@@ -57,22 +57,37 @@ no hit has 5 | x or 5 | y; for R = 4 it needs x^4 + y^4 = 0, and every
 hit has 5 | x and 5 | y.  Any other R, and any window of two or more
 residues, leaves both classes a partner.  _usable derives this from the
 window as _reach does, and the kernel takes only the usable x and y
-before it forms its classes.  Together the two levels evaluate 6.72% of
-the pairs for an exact residual 8 (10.49% mod 432, times 16/25), 1.63%
-for R = 16129, and all of them for a threshold of 9 or more.  They drop
-only pairs that cannot hit, and every pair they keep is still checked
-exactly.
+before it forms its classes.
+
+The sieve has a pair level too, mod 13.  x^4 mod 13 takes only the four
+values 0, 1, 3 and 9, and a pair of subclasses a = x^4, b = y^4 (mod 13)
+can hit only if a + b - v is a square mod 13 for some v in lo..hi: the
+table _reach(lo, hi, 13).  For every exact window it rules out 28-62%
+of all pairs (48% for R = 8), as it does for a threshold of 1; from a
+threshold of 2 on it rules out none.  Where it rules out a pair, the
+kernel splits each class that holds four blocks or more by x^4 mod 13
+and runs the block loop once a subclass, over the y whose subclass it
+may pair with; a smaller class runs whole, as every class does where
+the table rules out nothing, since a split multiplies partly filled
+blocks.  Together the levels evaluate 3.50% of the pairs for an exact
+residual 8 at max_x 7000 (857,113: 10.49% mod 432, times 16/25 mod 5,
+times 88/169 mod 13, in the 13 of its 14 classes that split; 6.72%
+without the split), and all of them for a threshold of 9 or more.  They
+drop only pairs that cannot hit, and every pair they keep is still
+checked exactly.
 
 5 is the only odd prime that can rule out a value.  A value of class c
 has a partner mod p iff z^2 = y^4 + c - R has a solution mod p.  For
 p >= 7 it has: y = z = 0 when c = R, else the curve has genus 1 and the
 Hasse-Weil bound leaves it at least p - 1 - 2*sqrt(p) > 0 affine points.
 Mod 3 every x^4 is 0 or 1, and of two consecutive residues one is a
-square.  (The tests check every odd prime below 400.)  5 is a value
-filter, not a factor of M: M = 2160 would drop the same pairs, and also
-some of R = 0 or 2 (mod 5), but it doubles the classes to 40, whose
-per-block cost makes small windows slower (see SIEVE_MODULUS), where
-the value filter costs one mask over the values.
+square.  (The tests check every odd prime below 400.)  So 13 rules out
+pairs, never values, and the kernel reads it through the classes it
+splits.  5 is a value filter, not a factor of M: M = 2160 would drop the
+same pairs, and also some of R = 0 or 2 (mod 5), but it doubles the
+classes to 40, whose per-block cost makes small windows slower (see
+SIEVE_MODULUS), where the value filter costs one mask over the values.
+The same cost rules out 13 as a factor of M (see SIEVE_MODULUS).
 
 The pure-Python window loop takes z_lo and r pair by pair in big ints,
 by the rule above, and returns each hit pair as the kernel does: one row
@@ -154,6 +169,17 @@ MAX_WORKERS = 1024
 # M = 2160 against M = 432 with the value filter: the window
 # 51948..52967 1.2 / 0.9 ms, R = 1000003 to max_x 5000 2.3-2.6 /
 # 1.3-1.4 ms, R = 8 to max_x 7000 15.3-16.5 / 14.4-15.6 ms.
+# The factor 13 (M = 5616) measured slower still, since it multiplies
+# every class; 13 rules out pairs, so the kernel splits by x^4 mod 13
+# only a class of four blocks or more, and only where the window's table
+# rules out a pair (see _scan_kernel).  In-process medians of 11,
+# interleaved, 2 vCPUs, with no split / a split by x^4 mod 13 / mod 7 /
+# mod 17 / mod 13 * 17 / M = 5616 and no split: R = 8 to max_x 7000
+# 10.6 / 6.8 / 8.2 / 7.0 / 8.8 / 18.3 ms, to max_x 20000 76.7 / 43.1 /
+# 53.0 / 41.4 / 29.3 / 95.8 ms, R = 72 to max_x 5000 20.3 / 11.9 / 14.5 /
+# 16.0 / 10.2 / 24.4 ms, the window 51948..52967 0.85 / 0.77 / 0.73 /
+# 0.73 / 0.81 / 2.84 ms.  13 * 17, 20 subclasses, wins only where they
+# fill their blocks, past max_x 7000.
 SIEVE_MODULUS = 432
 
 # Most pairs one kernel block evaluates; bounds each block's memory at
@@ -167,20 +193,23 @@ SIEVE_BLOCK_PAIRS = 2**13
 
 # Least estimated work, in kept kernel pairs, that earns a scan a
 # process of its own: a scan runs at most one stripe per this many, so
-# two processes first run at 2^22 kept pairs.  On 2 vCPUs (in-process
-# medians of 7) a threshold window's kept pair took 13-17 ns (t = 9 to
-# max_x 3000) and an exact window's 9.6-9.9 ns (R = 8 to max_x 20000),
-# since it takes no integer square root.  Two processes tie with one
-# for an exact window between 8.6M and 19.3M kept pairs, the cost of a
-# pool start (exact residual 8, one scan per fresh process, medians of
-# 7, 1 / 2 processes: max_x 10000, 3.4M kept, 37 / 56 ms; 12000, 4.8M,
-# 50 / 63 ms; 16000, 8.6M, 91 / 96 ms; 20000, 13.4M, 116 / 116 ms;
-# 24000, 19.3M, 182 / 139 ms; 28000, 26.3M, 181 / 172 ms).
+# two processes first run at 2^22 kept pairs (R = 8 from max_x 15488).
+# On 2 vCPUs (in-process medians of 7) a threshold window's kept pair
+# took 9.2-13 ns (t = 9 to max_x 3000) and an exact window's 6.2-7.2 ns
+# (R = 8 to max_x 20000), since it takes no integer square root.  Two
+# processes tie with one for an exact window between 7.0M and 10.1M kept
+# pairs, the cost of a pool start (exact residual 8, one scan per fresh
+# process, medians of 7, 1 / 2 processes: max_x 10000, 1.7M kept, 14 /
+# 30 ms; 12000, 2.5M, 17 / 32 ms; 16000, 4.5M, 29 / 36 ms; 20000, 7.0M,
+# 43 / 45 ms; 24000, 10.1M, 60 / 57 ms; 28000, 13.7M, 84 / 70 ms; 32000,
+# 17.9M, 104 / 77 ms).  It stays below the tie: a pool there costs a few
+# ms, and the test workflow's pooled scans, the smallest of 4.5M kept
+# pairs, still run two processes.
 MIN_STRIPE_PAIRS = 2**21
 
 # Cost of one band pair, which the window loop takes, in kept kernel
-# pairs.  Against 11-17 ns per kept kernel pair of a threshold window
-# (about 10 ns of an exact one, see MIN_STRIPE_PAIRS), a window-loop pair,
+# pairs.  Against 9-17 ns per kept kernel pair of a threshold window
+# (6-10 ns of an exact one, see MIN_STRIPE_PAIRS), a window-loop pair,
 # scan's expansion of its rows included, took 0.5-0.6 us for an exact
 # window (R = 8) and 1.2-2.4 us for a threshold (t = 20000 and 100000 to
 # max_x 400, about 1 and 4.3 rows a pair, and t = 2^25 + 1 over
@@ -412,15 +441,20 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Column
     min_x, max_x = cfg.min_x, cfg.max_x
     m = SIEVE_MODULUS
     reach = _reach(lo, hi)
+    reach13 = _reach(lo, hi, 13)
     span = hi - lo
     v = np.arange(min_x, max_x + 1, dtype=np.int64)
     p4, f4 = _pow4(v)
     u = (v % m) ** 4 % m  # the class of v: v^4 mod M, one of 20 values
+    q = (v % 13) ** 4 % 13  # its subclass v^4 mod 13: 0, 1, 3 or 9
     # the indexes into v of the values that can be in a hit
     usable = _usable(lo, hi)
     iv = np.arange(v.size) if usable.all() else np.flatnonzero(usable[v % 5])
     iy = iv[iv >= y0 - min_x]
     yv, uy = v[iy], u[iy]
+    # for each subclass a, the y whose subclass b has reach13[a + b]
+    subclasses = np.array([0, 1, 3, 9])
+    partners = reach13.take(subclasses[:, None] + q[iy], mode="wrap")
     p4y = p4[iy] - lo  # y^4 - lo; this and the sums below wrap mod 2^64
     f4y = f4[iy] - lo
     hits: list[tuple[np.ndarray, ...]] = []
@@ -432,51 +466,63 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Column
         ux = u[ix]
         for g in np.flatnonzero(np.bincount(ux)):
             at = ix[ux == g][index::stride]
-            pair = reach[(g + uy) % m] & (uy >= (g if square else 0))
-            if not (at.size and pair.any()):
-                continue
-            xs, p4x, f4x = v[at], p4[at], f4[at]
-            ys, p4s, f4s = yv[pair], p4y[pair], f4y[pair]
-            h = max(1, SIEVE_BLOCK_PAIRS // ys.size)
-            w = SIEVE_BLOCK_PAIRS // h
-            for i in range(0, xs.size, h):
-                for j in range(0, ys.size, w):
-                    width = min(w, ys.size - j)
-                    if not span:  # an exact window: d = 0 and n = 1
-                        k, z = _exact_roots(
-                            p4x[i : i + h], f4x[i : i + h], p4s[j : j + w], f4s[j : j + w]
-                        )
-                        if not k.size:
-                            continue
-                        d = np.zeros_like(z)
-                        n = d + 1
-                    else:
-                        r, d = _isqrt(
-                            (p4x[i : i + h, None] + p4s[None, j : j + w]).ravel(),
-                            (f4x[i : i + h, None] + f4s[None, j : j + w]).ravel(),
-                        )
-                        k = np.flatnonzero(d <= span)  # d = s - lo - r^2 >= 0
-                        if not k.size:
-                            continue
-                        z, d, n = r[k], d[k], np.ones(k.size, dtype=np.int64)
-                        # the pairs that hit at r - 1 too: 2r - 1 <= span - d
-                        # needs r <= t, so s - hi - 1 < 2^52 is exact in float
-                        many = np.flatnonzero(2 * z - 1 <= span - d)
-                        if many.size:
-                            r2 = z[many] * z[many]
-                            a = np.maximum(r2 + d[many] - span - 1, 0)  # s - hi - 1
-                            z_lo = _isqrt(a, a.astype(np.float64))[0] + 1
-                            n[many] = z[many] - z_lo + 1
-                            d[many] += r2 - z_lo * z_lo
-                            z[many] = z_lo
-                    x, y = xs[i + k // width], ys[j + k % width]
-                    if square:
-                        # a pair of two values of class g appears in its
-                        # square block twice, as (x, y) and as (y, x)
-                        keep = (x <= y) | (u[y - min_x] != g)
-                        x, y, z, d, n = x[keep], y[keep], z[keep], d[keep], n[keep]
-                    rows = _count_rows(rows + int(n.sum()))
-                    hits.append((x, y, z, d, n))
+            # reach[(g + uy) % m]: take wraps the index faster than int64 % does
+            pair = reach.take(g + uy, mode="wrap") & (uy >= (g if square else 0))
+            parts = [(at, pair)]
+            # a class of four blocks or more, where the window's mod-13
+            # table drops a pair, runs once for each x^4 mod 13 = a with
+            # only the y whose y^4 mod 13 = b has reach13[a + b].  The
+            # table is symmetric, so a same-class pair still appears as
+            # (x, y) and as (y, x), and the square's mirror drop holds
+            if not reach13.all() and at.size * pair.sum() >= 4 * SIEVE_BLOCK_PAIRS:
+                qx = q[at]
+                parts = [(at[qx == a], pair & near) for a, near in zip(subclasses, partners)]
+            for at, pair in parts:
+                jy = np.flatnonzero(pair)  # a gather is cheaper than a mask, thrice
+                if not (at.size and jy.size):
+                    continue
+                xs, p4x, f4x = v[at], p4[at], f4[at]
+                ys, p4s, f4s = yv[jy], p4y[jy], f4y[jy]
+                h = max(1, SIEVE_BLOCK_PAIRS // ys.size)
+                w = SIEVE_BLOCK_PAIRS // h
+                for i in range(0, xs.size, h):
+                    for j in range(0, ys.size, w):
+                        width = min(w, ys.size - j)
+                        if not span:  # an exact window: d = 0 and n = 1
+                            k, z = _exact_roots(
+                                p4x[i : i + h], f4x[i : i + h], p4s[j : j + w], f4s[j : j + w]
+                            )
+                            if not k.size:
+                                continue
+                            d = np.zeros_like(z)
+                            n = d + 1
+                        else:
+                            r, d = _isqrt(
+                                (p4x[i : i + h, None] + p4s[None, j : j + w]).ravel(),
+                                (f4x[i : i + h, None] + f4s[None, j : j + w]).ravel(),
+                            )
+                            k = np.flatnonzero(d <= span)  # d = s - lo - r^2 >= 0
+                            if not k.size:
+                                continue
+                            z, d, n = r[k], d[k], np.ones(k.size, dtype=np.int64)
+                            # the pairs that hit at r - 1 too: 2r - 1 <= span - d
+                            # needs r <= t, so s - hi - 1 < 2^52 is exact in float
+                            many = np.flatnonzero(2 * z - 1 <= span - d)
+                            if many.size:
+                                r2 = z[many] * z[many]
+                                a = np.maximum(r2 + d[many] - span - 1, 0)  # s - hi - 1
+                                z_lo = _isqrt(a, a.astype(np.float64))[0] + 1
+                                n[many] = z[many] - z_lo + 1
+                                d[many] += r2 - z_lo * z_lo
+                                z[many] = z_lo
+                        x, y = xs[i + k // width], ys[j + k % width]
+                        if square:
+                            # a pair of two values of class g appears in its
+                            # square block twice, as (x, y) and as (y, x)
+                            keep = (x <= y) | (u[y - min_x] != g)
+                            x, y, z, d, n = x[keep], y[keep], z[keep], d[keep], n[keep]
+                        rows = _count_rows(rows + int(n.sum()))
+                        hits.append((x, y, z, d, n))
     if not hits:
         return _columns([])
     x, y, z, d, n = map(np.concatenate, zip(*hits))
@@ -506,22 +552,25 @@ def _cpus() -> int:
 
 
 def _kept_residue_pairs(lo: int, hi: int) -> int:
-    """Residue pairs (a, b) mod 5M, of all (5M)^2, M = SIEVE_MODULUS, that
-    the sieve keeps for the window lo..hi: 313344 for an exact residual 8,
-    (5M)^2 for a threshold t >= 9.  Counted over the 20 classes x^4 mod M,
-    times the pairs of usable values mod 5."""
-    m = SIEVE_MODULUS
-    freq = np.bincount(np.arange(m) ** 4 % m, minlength=m)
-    g = np.flatnonzero(freq)
-    kept = int(freq[g] @ _reach(lo, hi)[(g[:, None] + g) % m] @ freq[g])
-    return kept * int(_usable(lo, hi).sum()) ** 2
+    """Residue pairs (a, b) mod 65M, of all (65M)^2, M = SIEVE_MODULUS,
+    that the sieve keeps for the window lo..hi: 27,574,272 for an exact
+    residual 8 (3.50%), (65M)^2 for a threshold t >= 9.  The pairs of the
+    20 classes x^4 mod M that _reach keeps, times those of the 4 classes
+    x^4 mod 13, as the kernel splits a large class, times the pairs of
+    usable values mod 5."""
+    kept = int(_usable(lo, hi).sum()) ** 2
+    for m in (SIEVE_MODULUS, 13):
+        freq = np.bincount(np.arange(m) ** 4 % m, minlength=m)
+        g = np.flatnonzero(freq)
+        kept *= int(freq[g] @ _reach(lo, hi, m)[(g[:, None] + g) % m] @ freq[g])
+    return kept
 
 
 def _work(cfg: SearchConfig, force_exact: bool = False) -> int:
     """Estimated cost of a scan of cfg in kept kernel pairs: the kernel's
     pairs (y >= y0) times the share the sieve keeps, rounded up, plus
     each window-loop pair (y < y0) at BAND_PAIR_WEIGHT."""
-    m = 5 * SIEVE_MODULUS
+    m = 5 * 13 * SIEVE_MODULUS
     y0 = _kernel_y_start(cfg, force_exact)
     n = cfg.max_x - cfg.min_x + 1
     band = (y0 - cfg.min_x) * (y0 - cfg.min_x + 1) // 2

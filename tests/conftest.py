@@ -1,8 +1,24 @@
 """Fixtures shared by the scan tests."""
 
+import warnings
+
 import pytest
 
 from nearmiss4 import search
+
+# hypothesis's pytest plugin imports hypothesis.extra._patching when a
+# property test fails, to print the failing example as a patch, and that
+# import pulls in libcst, which warns "mypy_extensions.TypedDict is
+# deprecated".  Under `pytest -W error` the warning ends the session with
+# an INTERNALERROR, and no later test runs.  Imported once here with the
+# warning silenced, the module is cached and the plugin's import warns no
+# more; an ImportError leaves nothing to silence.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

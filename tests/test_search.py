@@ -87,7 +87,8 @@ def in_process_pool(monkeypatch):
 def test_pool_size_never_exceeds_x_range(monkeypatch, in_process_pool, pool_at_any_size):
     monkeypatch.setattr(search, "_cpus", lambda: 4096)
     for cfg, size in (
-        (SearchConfig(max_x=4, min_x=2, workers=8), 3),
+        # a threshold of 9 keeps all six pairs: work for three stripes
+        (SearchConfig(max_x=4, min_x=2, threshold=9, workers=8), 3),
         (SearchConfig(max_x=100, workers=8), 8),
         (SearchConfig(max_x=10**4, min_x=10**4 - 99, workers=MAX_WORKERS), 100),
     ):
@@ -210,11 +211,11 @@ def test_cpus_are_those_this_process_may_run_on(monkeypatch):
     monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert search._cpus() == 1
-    assert search.processes(SearchConfig(max_x=25000, exact_residual=8, workers=8)) == 1
+    assert search.processes(SearchConfig(max_x=32000, exact_residual=8, workers=8)) == 1
     # without an affinity mask, every CPU counts, and an unknown count is 1
     monkeypatch.delattr(search.os, "sched_getaffinity")
     assert search._cpus() == 8
-    assert search.processes(SearchConfig(max_x=25000, exact_residual=8, workers=8)) == 8
+    assert search.processes(SearchConfig(max_x=32000, exact_residual=8, workers=8)) == 8
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
     assert search._cpus() == 1
 
@@ -543,28 +544,38 @@ def test_admissible_share_for_the_family_residual():
     assert not _reach(-8, 8)[CLASS_SUMS].all()
     for t in (9, 10, 50, 216, 431, 10**6):
         assert _reach(-t, t)[CLASS_SUMS].all()
-    # the share the process count reads counts all (5 * 432)^2 residue
-    # pairs.  By the CRT that is the pairs mod 432 the class sieve keeps,
-    # counted here over all 432^2 of them, times the pairs of values mod 5
-    # that have a partner: x^4 + y^4 - v is a square mod 5 for some y, v
+    # the share the process count reads counts all (5 * 13 * 432)^2
+    # residue pairs.  By the CRT that is the pairs mod 432 the class sieve
+    # keeps, counted here over all 432^2 of them, times the pairs of values
+    # mod 5 that have a partner: x^4 + y^4 - v is a square mod 5 for some
+    # y, v, times the pairs mod 13 whose x^4 + y^4 - v is a square for
+    # some v
     windows = [(8, 8), (100, 100), (-8, 8), (16129, 16129), (-1976, -1976), (3, 4)]
-    windows += [(r, r) for r in range(5)] + [(-t, t) for t in (9, 10, 50, 216, 431, 10**6)]
+    windows += [(r, r) for r in range(13)] + [(-1, 1), (-2, 2)]
+    windows += [(-t, t) for t in (9, 10, 50, 216, 431, 10**6)]
+    squares13 = {k * k % 13 for k in range(13)}
     for lo, hi in windows:
-        values = range(lo, min(hi, lo + 4) + 1)  # every v mod 5 of the window
+        values = range(lo, min(hi, lo + 12) + 1)  # every v mod 13 of the window
         usable = [
             a
             for a in range(5)
             if any((a**4 + b**4 - v) % 5 in (0, 1, 4) for b in range(5) for v in values)
         ]
-        kept = _reach(lo, hi)[CLASS_SUMS].sum() * len(usable) ** 2
+        pairs13 = sum(
+            any((a**4 + b**4 - v) % 13 in squares13 for v in values)
+            for a in range(13)
+            for b in range(13)
+        )
+        kept = _reach(lo, hi)[CLASS_SUMS].sum() * len(usable) ** 2 * pairs13
         assert search._kept_residue_pairs(lo, hi) == kept
-    assert search._kept_residue_pairs(8, 8) == 19584 * 16  # 6.72% of 2160^2
+    # 3.50% of 28080^2: 10.49% mod 432, 16/25 mod 5 and 88/169 mod 13
+    assert search._kept_residue_pairs(8, 8) == 19584 * 16 * 88
 
 
 def test_processes_follow_the_kept_work(monkeypatch):
     monkeypatch.setattr(search, "_cpus", lambda: 8)
     # the same 6,126,750 pairs: a threshold of 9 keeps every one, an exact
-    # residual 8 about 6.72% of them
+    # residual 8 about 3.50% of them
     t9 = SearchConfig(max_x=3500, threshold=9, workers=8)
     r8 = SearchConfig(max_x=3500, exact_residual=8, workers=8)
     assert (search.processes(t9), search.processes(r8)) == (2, 1)
@@ -588,17 +599,18 @@ def test_processes_follow_the_kept_work(monkeypatch):
         (SearchConfig(max_x=7000, exact_residual=8, workers=2), 1),
         (SearchConfig(min_x=51948, max_x=52967, exact_residual=8, workers=2), 1),
         (SearchConfig(max_x=400, threshold=20000, workers=2), 1),
-        # 3.4M kept pairs, and 4.8M: two processes first run at 2^22
-        (SearchConfig(max_x=10000, exact_residual=8, workers=2), 1),
-        (SearchConfig(max_x=12000, exact_residual=8, workers=2), 2),
+        # 3.9M kept pairs, and 4.5M: two processes first run at 2^22
+        (SearchConfig(max_x=15000, exact_residual=8, workers=2), 1),
+        (SearchConfig(max_x=16000, exact_residual=8, workers=2), 2),
         # a threshold up to INTERVAL_MAX_T has no band: 500,500 kernel
         # pairs, and 4.5M
         (SearchConfig(max_x=1000, threshold=100000, workers=2), 1),
         (SearchConfig(max_x=3000, threshold=20000, workers=2), 2),
-        # 13.4M kept pairs: one process per 2^21
-        (SearchConfig(max_x=20000, exact_residual=8, workers=8), 6),
-        (SearchConfig(max_x=25000, exact_residual=8, workers=8), 8),
-        # R = 4 (mod 5) keeps 1/25 of the values' pairs: 13.0M kept pairs
+        # 7.0M kept pairs: one process per 2^21
+        (SearchConfig(max_x=20000, exact_residual=8, workers=8), 3),
+        (SearchConfig(max_x=32000, exact_residual=8, workers=8), 8),
+        # R = 4 (mod 5) keeps 1/25 of the values' pairs, and R = 9 (mod 13)
+        # 105/169 of those mod 13: 8.1M kept pairs
         (SearchConfig(max_x=40000, exact_residual=16129, workers=2), 2),
     ):
         assert search.processes(cfg) == ran
@@ -796,6 +808,108 @@ def test_value_sieve_keeps_every_hit(monkeypatch, in_process_pool, pool_at_any_s
     assert hit in expected
     for workers in (1, 2, 3):
         assert scan(replace(cfg, workers=workers)) == expected
+
+
+def test_mod_13_table_drops_only_pairs_without_a_solution():
+    # x^4 mod 13 is 0, 1, 3 or 9, and the kernel pairs the subclass a of x
+    # with the subclass b of y iff reach13[a + b].  That holds for every
+    # pair of some x, y, z mod 13 with x^4 + y^4 - z^2 = v, v in the window
+    classes = sorted({x**4 % 13 for x in range(13)})
+    assert classes == [0, 1, 3, 9]
+    for lo, hi in [(r, r) for r in range(13)] + [(-1, 1), (-2, 2)]:
+        reach13 = _reach(lo, hi, 13)
+        for a in classes:
+            for b in classes:
+                solvable = any(
+                    (x**4 + y**4 - z * z - v) % 13 == 0
+                    for x in range(13)
+                    if x**4 % 13 == a
+                    for y in range(13)
+                    if y**4 % 13 == b
+                    for z in range(13)
+                    for v in range(lo, hi + 1)
+                )
+                assert reach13[(a + b) % 13] == solvable
+        # every exact window and the threshold 1 drop a pair, and split;
+        # from the threshold 2 on the table drops nothing
+        drops = not all(reach13[(a + b) % 13] for a in classes for b in classes)
+        assert drops == (not reach13.all()) == (lo == hi or hi < 2)
+
+
+@st.composite
+def split_windows(draw):
+    """(min_x, max_x, window) of 31 to 151 values: an exact residual in a
+    drawn class mod 65 = 5 * 13, or the nearest residual of a pair of the
+    range, so that the range holds a hit, or a threshold of 1 to 3."""
+    min_x = draw(st.integers(1, 3000))
+    max_x = min_x + draw(st.integers(30, 150))
+    kind = draw(st.sampled_from(["class", "pair", "threshold"]))
+    if kind == "threshold":
+        return min_x, max_x, {"threshold": draw(st.integers(1, 3))}
+    if kind == "class":
+        residual = draw(st.integers(0, 64)) + 65 * draw(st.integers(-(10**6), 10**6))
+        return min_x, max_x, {"exact_residual": residual}
+    x = draw(st.integers(min_x, max_x))
+    y = draw(st.integers(x, max_x))
+    s = x**4 + y**4
+    r = math.isqrt(s)
+    return min_x, max_x, {"exact_residual": draw(st.sampled_from([s - r * r, s - (r + 1) ** 2]))}
+
+
+@settings(
+    max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(split_windows())
+def test_split_classes_match_exact(monkeypatch, in_process_pool, pool_at_any_size, window):
+    # with blocks of 16 pairs, most classes of a small window hold four
+    # blocks and split by x^4 mod 13 wherever the window's table drops a pair
+    monkeypatch.setattr(search, "SIEVE_BLOCK_PAIRS", 16)
+    monkeypatch.setattr(search, "_cpus", lambda: 2)
+    min_x, max_x, fields = window
+    cfg = SearchConfig(min_x=min_x, max_x=max_x, **fields)
+    expected = scan(cfg, force_exact=True)
+    for workers in (1, 2):
+        assert scan(replace(cfg, workers=workers)) == expected
+
+
+def test_split_keeps_a_hit_of_every_residue_class(monkeypatch, in_process_pool, pool_at_any_size):
+    # a kernel hit (x, y, z, R) for each class of R mod 65 = 5 * 13, found
+    # by a scan whose classes split by x^4 mod 13
+    monkeypatch.setattr(search, "SIEVE_BLOCK_PAIRS", 16)
+    monkeypatch.setattr(search, "_cpus", lambda: 2)
+    found = {}
+    for x in range(30, 100):
+        for y in range(x, x + 40):
+            s = x**4 + y**4
+            for z in range(math.isqrt(s) - 2, math.isqrt(s) + 3):
+                found.setdefault((s - z * z) % 65, (x, y, z, s - z * z))
+    assert len(found) == 65
+    for x, y, z, residual in found.values():
+        cfg = SearchConfig(min_x=x - 10, max_x=y + 10, exact_residual=residual)
+        assert _kernel_y_start(cfg) <= x  # |R| < 30^4: the pair is the kernel's
+        expected = scan(cfg, force_exact=True)
+        assert (x, y, z, residual) in expected
+        for workers in (1, 2):
+            assert scan(replace(cfg, workers=workers)) == expected
+
+
+def test_exact_residual_eight_evaluates_the_split_pairs(monkeypatch):
+    # the pairs handed to _exact_roots by `search --exact-residual 8
+    # --max-x 7000`: 1,645,605 under the classes mod 432 and the values
+    # mod 5 alone, 857,113 once 13 of its 14 classes split by x^4 mod 13.
+    # _work estimates them from the residue shares alone
+    evaluated = []
+    exact_roots = search._exact_roots
+
+    def counting(p4x, f4x, p4s, f4s):
+        evaluated.append(p4x.size * p4s.size)
+        return exact_roots(p4x, f4x, p4s, f4s)
+
+    monkeypatch.setattr(search, "_exact_roots", counting)
+    cfg = SearchConfig(max_x=7000, exact_residual=8)
+    assert len(scan(cfg)) == 11
+    assert sum(evaluated) == 857113
+    assert search._work(cfg) == 857016
 
 
 def test_scan_imports_no_module():
