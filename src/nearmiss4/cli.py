@@ -24,7 +24,7 @@ import json
 import os
 import sys
 import time
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,10 +47,10 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process it killed
 _BATCH_ROWS = 256
 
 # Rows per stdout write of int64 columns, which _render_columns turns
-# into text a chunk at a time.  2^11 to 2^14 rows ran alike on
-# `search --threshold 20000 --max-x 400`, and a chunk's uint8 matrix
-# stays at a few hundred KB.
-_CHUNK_ROWS = 2**12
+# into text a chunk at a time.  On `search --threshold 20000 --max-x 400`
+# 2^13 and 2^14 rows tied in tsv and jsonl, and 2^12 and 2^15 took 7-30%
+# longer (in-process medians of 30, 2 vCPUs: 7.2 ms and 10.4 ms at 2^13).
+_CHUNK_ROWS = 2**13
 
 
 def _digit_groups() -> np.ndarray:
@@ -162,41 +162,42 @@ def _emit_rows(fmt: str, names: tuple[str, ...], rows: Iterable[tuple[int, ...]]
             return
 
 
-def _digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The decimal text of each int64 of v, one row per value: a column
-    of signs ("-" or a 0 byte) and a uint8 matrix of digits, right-aligned
-    to the widest, with 0 bytes on the left."""
-    negative = v < 0
-    magnitude = v.astype(np.uint64)
-    # negated mod 2^64: |v|, also for -2^63, where np.abs wraps
-    magnitude[negative] = 0 - magnitude[negative]
+def _digits(v: np.ndarray) -> list[np.ndarray]:
+    """The decimal text of each int64 of v as columns, one row per value,
+    right-aligned with 0 bytes on the left: uint8 signs ("-" or 0) where v
+    has a negative value, then uint32 groups of four ASCII digits."""
+    magnitude = np.abs(v).view(np.uint64)  # |v|, also for -2^63, where abs wraps
     groups = []  # four digits each, the lowest first
     while True:
-        high, low = np.divmod(magnitude, 10**4)
+        high = magnitude // 10**4
+        low = magnitude - high * 10**4
         # below a non-zero high part a group shows all four digits; the
         # top group drops its leading zeros, and a group above it all
-        group = _DIGIT_GROUPS[low + (high == 0) * np.uint64(10**4)]
+        group = _DIGIT_GROUPS.take(low + (high == 0) * np.uint64(10**4))
         if groups:
             group *= magnitude != 0
-        groups.append(group)
+        groups.append(group[:, None])
         if not high.any():
             break
         magnitude = high
-    signs = (negative * np.uint8(ord("-")))[:, None]
-    return signs, np.stack(groups[::-1], axis=1).view(np.uint8)
+    negative = v < 0
+    signs = [(negative * np.uint8(ord("-")))[:, None]] if negative.any() else []
+    return signs + groups[::-1]
 
 
 def _render_columns(template: str, columns: Sequence[np.ndarray]) -> bytes:
     """The bytes of template % row for every row of the int64 columns: the
-    template's literal pieces and each column's signs and digits side by
-    side in one uint8 matrix, read row by row without its 0 bytes."""
-    pieces = [np.frombuffer(p.encode("ascii"), dtype=np.uint8) for p in template.split("%s")]
-    rows = len(columns[0])
-    parts = [np.broadcast_to(pieces[0], (rows, pieces[0].size))]
+    template's pieces and each column's _digits, each written once into
+    one uint8 matrix, read row by row without its 0 bytes."""
+    pieces = [np.frombuffer(p.encode("ascii"), dtype=np.uint8)[None] for p in template.split("%s")]
+    parts = [pieces[0]]
     for column, piece in zip(columns, pieces[1:]):
-        parts += [*_digits(column), np.broadcast_to(piece, (rows, piece.size))]
-    text = np.concatenate(parts, axis=1)
-    return text[text != 0].tobytes()
+        parts += [*_digits(column), piece]
+    widths = [part.shape[1] * part.itemsize for part in parts]
+    text = np.empty((len(columns[0]), sum(widths)), dtype=np.uint8)
+    for part, end, width in zip(parts, accumulate(widths), widths):
+        text[:, end - width : end].view(part.dtype)[...] = part
+    return text.tobytes().translate(None, b"\0")
 
 
 def _emit_columns(fmt: str, names: tuple[str, ...], columns: Sequence[np.ndarray]) -> None:

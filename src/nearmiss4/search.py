@@ -106,11 +106,11 @@ this process may run on, one per x and one per MIN_STRIPE_PAIRS of
 estimated work, so a scan too small to repay a process start runs in
 the calling process whatever the worker count.  Every stripe returns
 one row per hit pair, from either path, as five columns x, y, z, delta,
-n: int64, or object where a window-loop value passes int64.  scan merges
-them with one lexsort into (y, x) order, so the output is independent of
-the worker count, expands each row into its n rows, z counting up, and
-returns them as Hits, a read-only sequence that builds a SearchHit only
-for a row that is read.
+n: int64, or object where a window-loop value passes int64.  scan sorts
+them by one int64 key into (y, x) order, so the output is independent of
+the worker count, expands each row into its n rows through one index,
+z counting up, and returns them as Hits, a read-only sequence that
+builds a SearchHit only for a row that is read.
 """
 
 from __future__ import annotations
@@ -224,15 +224,12 @@ BAND_PAIR_WEIGHT = 100
 # stripes; each raises a ValueError once its count passes the cap.  So a
 # scan is refused iff its rows pass the cap, at any worker count, and
 # each path of a stripe stops within one block, or one x, of it.  Peaks
-# in fresh processes on 2 vCPUs, 32 MB of each the interpreter and numpy:
-# a refusal holds about 38 B a row in the kernel, five int64 columns
-# (`search --min-x 1000000 --max-x 1100000 --threshold 10^12`: 0.6 s and
-# 426 MB, 871 MB summed over the two stripes of --workers 2), and 176 B a
-# row in the window loop, as Python tuples (caps of 2.5e5 to 10^6 over
-# 20000..22000 at t = 5 * 10^8), about 1.8 GB at the cap (extrapolated).
-# An accepted search peaks at about 122 B a row from the kernel
-# (1000000..1002000 at t = 10^12: 1,413,764 rows, 204 MB) and 280 B from
-# the window loop (10000..11000 at t = 1.4 * 10^8: 450,344 rows, 158 MB).
+# (VmHWM) of fresh processes on 2 vCPUs, 32 MB of it the interpreter and
+# numpy: a refusal holds five int64 columns, about 38 B a row, on either
+# path (426 MB for `search --min-x 1000000 --max-x 1100000 --threshold
+# 10^12`, 871 MB summed at --workers 2), and an accepted search about
+# 100 B a row (1,413,764 rows over 1000000..1002000 at t = 10^12: 172 to
+# 182 MB, by heap layout; 450,344 over 10000..11000 at t = 1.4e8: 72 MB).
 MAX_WINDOW_ROWS = 10**7
 
 
@@ -531,16 +528,15 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Column
 
 def _scan_stripe(cfg: SearchConfig, index: int, stride: int, y0: int) -> _Columns:
     lo, hi = cfg.window
-    rows: list[_Row] = []
+    parts = []  # each x's rows as columns, then the kernel's
     total = 0  # counted x by x, so a stripe stops at the cap
     for x in range(cfg.min_x + index, y0, stride):
         found = _scan_x_exact(x, y0, lo, hi)
         total = _count_rows(total + sum(row[4] for row in found))
-        rows += found
-    band = _columns(rows)
-    if y0 > cfg.max_x:
-        return band
-    return tuple(map(np.concatenate, zip(band, _scan_kernel(cfg, y0, index, stride))))
+        parts.append(_columns(found))
+    if y0 <= cfg.max_x:
+        parts.append(_scan_kernel(cfg, y0, index, stride))
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(_columns([]), *parts)))
 
 
 def _cpus() -> int:
@@ -607,26 +603,29 @@ def scan(cfg: SearchConfig, force_exact: bool = False) -> Hits:
             parts = pool.starmap(_scan_stripe, jobs)
         x, y, z, delta, n = map(np.concatenate, zip(*parts))
     rows = _count_rows(int(n.sum()))
-    # every row is one hit pair, its least z with its count n of hits, so
-    # a sort by (y, x) alone orders the rows.  Each column is gathered on
-    # its own line, so that its unsorted copy is freed before the next
-    order = np.lexsort((x, y))
-    x = x[order]
-    y = y[order]
-    z = z[order]
-    delta = delta[order]
+    if not rows:  # an empty int64 column cannot take a min_x past 2^63
+        return Hits(x, y, z, delta)
+    # one unique key per hit pair, each difference in its column's dtype,
+    # below width^2 < 2^63: a scan merges only after visiting every pair,
+    # a kernel's width is <= 2^25, and a width of 2^31.5 holds 2^62 pairs
+    min_x, width = cfg.min_x, cfg.max_x - cfg.min_x + 1
+    order = np.argsort(
+        (y - min_x).astype(np.int64, copy=False) * width + (x - min_x).astype(np.int64, copy=False)
+    )
     n = n[order]
-    # each row expands into its n rows, z counting up by step from its
-    # least z_lo, where s - z^2 = delta - step * (2z - step).  A pair with
-    # several hits has z <= r <= t, so below t = 2^62 every term of its
-    # rows fits in int64 (a one-hit row has step 0).  Past it z, delta
-    # or 2z may not, and the rows are expanded in Python ints
-    wide = object if cfg.threshold >= 2**62 else np.int64
-    step = np.arange(rows, dtype=wide) - np.repeat(np.cumsum(n) - n, n)
-    x = np.repeat(x, n)
-    y = np.repeat(y, n)
-    z = np.repeat(z, n) + step
-    delta = np.repeat(delta, n) - step * (2 * z - step)
+    # each row repeats n times; two gathers a line free the unexpanded columns
+    order = np.repeat(order, n)
+    x, y = x[order], y[order]
+    z, delta = z[order], delta[order]
+    del order
+    if rows > n.size:  # else every pair hits once, as in an exact window
+        # z counts up by step from its pair's z_lo: s - z^2 = delta -
+        # step * (2z - step).  A pair with several hits has z <= r <= t, so
+        # below t = 2^62 every term fits in int64; past it, Python ints
+        step = np.arange(rows, dtype=object if cfg.threshold >= 2**62 else np.int64)
+        step -= np.repeat(np.cumsum(n) - n, n)
+        z = z + step
+        delta = delta - step * (2 * z - step)
     return Hits(x, y, z, delta)
 
 

@@ -144,8 +144,9 @@ def test_search_rows_reach_a_text_only_stdout(monkeypatch):
     assert out.getvalue() == FIXTURE.read_text()
 
 
-# 0, +-1, -2^63 (where np.abs wraps), 2^63 - 1, and +-(10^k - 1) and
-# +-10^k, where the digit count steps
+# 0, +-1, -2^63 (np.abs wraps it to itself, which reads as 2^63 in
+# uint64), 2^63 - 1, and +-(10^k - 1) and +-10^k, where the digit count
+# steps
 EDGE_VALUES = [0, 1, -1, -(2**63), 2**63 - 1] + [
     v for k in range(1, 19) for v in (10**k - 1, 10**k, 1 - 10**k, -(10**k))
 ]

@@ -1107,6 +1107,51 @@ def test_rows_of_a_pair_stay_in_z_order(monkeypatch, in_process_pool, pool_at_an
 
 
 @st.composite
+def merge_windows(draw):
+    """A window of at least four x values whose stripes return their rows
+    out of (y, x) order: a threshold up to 3000 from min_x <= 40, whose
+    small pairs have several rows each; a threshold past INTERVAL_MAX_T,
+    whose pairs all take the window loop; an exact residual; or a range
+    past 2^64 at t = 2^130, where x and y are object columns and each pair
+    has two or three rows, expanded in Python ints, or at t = 0, with none."""
+    kind = draw(st.sampled_from(["dense", "band", "exact", "huge"]))
+    if kind == "huge":
+        min_x = 2**64 + draw(st.integers(0, 10**6))
+        t = draw(st.sampled_from([0, 2**130]))
+        return SearchConfig(min_x=min_x, max_x=min_x + draw(st.integers(3, 6)), threshold=t)
+    if kind == "band":
+        min_x = draw(st.integers(3000, 3400))
+        return SearchConfig(min_x=min_x, max_x=min_x + 8, threshold=INTERVAL_MAX_T + 1)
+    min_x = draw(st.integers(1, 40))
+    max_x = min_x + draw(st.integers(3, 60))
+    if kind == "exact":
+        return SearchConfig(min_x=min_x, max_x=max_x, exact_residual=draw(st.integers(-50, 50)))
+    return SearchConfig(min_x=min_x, max_x=max_x, threshold=draw(st.integers(1, 3000)))
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(merge_windows())
+def test_merge_orders_rows_at_any_stripe_count(monkeypatch, in_process_pool, cfg):
+    # scan sorts the stripes' hit pairs by one key, (y - min_x) * width +
+    # (x - min_x), and expands each through one index: at every stripe
+    # count, empty stripes included, the rows are strictly increasing in
+    # (y, x, z), the same rows, and each is a hit
+    expected = scan(cfg)
+    for stripes in (1, 2, 3, 4):
+        in_process_pool.clear()
+        monkeypatch.setattr(search, "processes", lambda *args: stripes)
+        hits = scan(cfg)
+        assert [pool.processes for pool in in_process_pool] == [stripes] * (stripes > 1)
+        assert hits == expected
+        keys = [(y, x, z) for x, y, z, _ in hits]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert all(map(verify_hit, hits))
+        assert all(cfg.window[0] <= hit.delta <= cfg.window[1] for hit in hits)
+
+
+@st.composite
 def band_windows(draw):
     """(min_x, max_x, window) over at most 41 values of x from below
     isqrt(t) + 1, where a pair may hit several times: t = max(-lo, hi) up
@@ -1383,37 +1428,56 @@ def test_scan_is_refused_iff_its_rows_pass_the_cap(monkeypatch, in_process_pool,
     assert [pool.processes for pool in in_process_pool] == [stripes] * 2 * (stripes > 1)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
-def test_refused_window_peaks_near_an_empty_scan():
-    # a fresh process reports its own peak: the suite's RUSAGE_CHILDREN
-    # holds the largest peak of any process the suite has run.  The window
-    # of test_window_of_one_hit_pairs_is_refused peaks 126 MB above an
-    # empty scan when it is held whole, and about 16 MB when it is refused
+def fresh_peak(cap: int, *argv: str) -> tuple[int, str, int]:
+    """(exit status, stdout, peak MB) of `search *argv` with MAX_WINDOW_ROWS
+    at cap, in a fresh process, which reports its own peak, VmHWM.  Its
+    ru_maxrss would not do: Linux carries the peak of the process that
+    started it across the exec, so it reads at least the suite's peak."""
     code = (
-        "import resource, sys\n"
+        "import sys\n"
         "from nearmiss4 import cli, search\n"
-        "search.MAX_WINDOW_ROWS = 10**5\n"
+        f"search.MAX_WINDOW_ROWS = {cap}\n"
         "status = cli.main(sys.argv[1:])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024, file=sys.stderr)\n"
+        "hwm = [line.split()[1] for line in open('/proc/self/status') if line[:6] == 'VmHWM:']\n"
+        "print(int(hwm[0]) // 1024, file=sys.stderr)\n"
         "sys.exit(status)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(search.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "search", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, int(proc.stderr.split()[-1])
 
-    def run(*window):
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "search", *window],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        return proc.returncode, proc.stdout, int(proc.stderr.split()[-1])
 
-    status, _, empty = run("--min-x", "5", "--max-x", "5")
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_refused_window_peaks_near_an_empty_scan():
+    # the window of test_window_of_one_hit_pairs_is_refused peaks about
+    # 41 MB above an empty scan when it is held whole (126 MB when the
+    # window loop held Python tuples), and about 3 MB when it is refused
+    status, _, empty = fresh_peak(10**5, "--min-x", "5", "--max-x", "5")
     assert status == 0
-    status, out, peak = run("--min-x", "10000", "--max-x", "11000", "--threshold", "140000000")
+    window = ("--min-x", "10000", "--max-x", "11000", "--threshold", "140000000")
+    status, out, peak = fresh_peak(10**5, *window)
     assert (status, out) == (2, "")
     assert peak - empty < 50  # MB
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_window_loop_holds_its_rows_as_columns():
+    # every pair of 20000..22000 has y < isqrt(t) + 1, so the window loop
+    # takes them all, and it is refused once it counts 10^6 rows.  Held as
+    # int64 columns, made x by x, they peak about 38 MB above an empty
+    # scan; held as Python tuples until the stripe ended, 175 MB
+    status, _, empty = fresh_peak(10**6, "--min-x", "5", "--max-x", "5")
+    assert status == 0
+    window = ("--min-x", "20000", "--max-x", "22000", "--threshold", "500000000")
+    status, out, peak = fresh_peak(10**6, *window)
+    assert (status, out) == (2, "")
+    assert peak - empty < 80  # MB: under 80 B a row
 
 
 def test_no_delta_zero_ever():
