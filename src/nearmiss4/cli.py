@@ -48,8 +48,9 @@ _BATCH_ROWS = 256
 
 # Rows per stdout write of int64 columns, which _render_columns turns
 # into text a chunk at a time.  On `search --threshold 20000 --max-x 400`
-# 2^13 and 2^14 rows tied in tsv and jsonl, and 2^12 and 2^15 took 7-30%
-# longer (in-process medians of 30, 2 vCPUs: 7.2 ms and 10.4 ms at 2^13).
+# 2^12, 2^13 and 2^14 rows tied within noise, and 2^15 took up to 50%
+# longer (in-process medians of 40, 2 vCPUs: 6.7-7.2 ms in tsv and
+# 11.6-16.7 ms in jsonl at 2^13); 2^13 holds half the matrix of 2^14.
 _CHUNK_ROWS = 2**13
 
 
@@ -164,8 +165,8 @@ def _emit_rows(fmt: str, names: tuple[str, ...], rows: Iterable[tuple[int, ...]]
 
 def _digits(v: np.ndarray) -> list[np.ndarray]:
     """The decimal text of each int64 of v as columns, one row per value,
-    right-aligned with 0 bytes on the left: uint8 signs ("-" or 0) where v
-    has a negative value, then uint32 groups of four ASCII digits."""
+    right-aligned with 0 bytes on the left: uint8 signs ("-" or 0), then
+    uint32 groups of four ASCII digits."""
     magnitude = np.abs(v).view(np.uint64)  # |v|, also for -2^63, where abs wraps
     groups = []  # four digits each, the lowest first
     while True:
@@ -180,9 +181,7 @@ def _digits(v: np.ndarray) -> list[np.ndarray]:
         if not high.any():
             break
         magnitude = high
-    negative = v < 0
-    signs = [(negative * np.uint8(ord("-")))[:, None]] if negative.any() else []
-    return signs + groups[::-1]
+    return [((v < 0) * np.uint8(ord("-")))[:, None], *groups[::-1]]
 
 
 def _render_columns(template: str, columns: Sequence[np.ndarray]) -> bytes:

@@ -618,14 +618,14 @@ def scan(cfg: SearchConfig, force_exact: bool = False) -> Hits:
     x, y = x[order], y[order]
     z, delta = z[order], delta[order]
     del order
-    if rows > n.size:  # else every pair hits once, as in an exact window
-        # z counts up by step from its pair's z_lo: s - z^2 = delta -
-        # step * (2z - step).  A pair with several hits has z <= r <= t, so
-        # below t = 2^62 every term fits in int64; past it, Python ints
-        step = np.arange(rows, dtype=object if cfg.threshold >= 2**62 else np.int64)
-        step -= np.repeat(np.cumsum(n) - n, n)
-        z = z + step
-        delta = delta - step * (2 * z - step)
+    # z counts up by step from its pair's z_lo: s - z^2 = delta - step *
+    # (2z - step).  A pair with several hits has z <= r <= t, so below
+    # t = 2^62 every term fits in int64 (a one-hit row has step 0); past
+    # it, z, delta or 2z may not, and the rows are expanded in Python ints
+    step = np.arange(rows, dtype=object if cfg.threshold >= 2**62 else np.int64)
+    step -= np.repeat(np.cumsum(n) - n, n)
+    z = z + step
+    delta = delta - step * (2 * z - step)
     return Hits(x, y, z, delta)
 
 

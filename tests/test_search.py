@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracle import as_tsv, naive_scan
@@ -1133,6 +1133,8 @@ def merge_windows(draw):
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(merge_windows())
+# drawn in about one example of eight: object columns past 2^64, 2-3 rows a pair
+@example(cfg=SearchConfig(min_x=2**64, max_x=2**64 + 4, threshold=2**130))
 def test_merge_orders_rows_at_any_stripe_count(monkeypatch, in_process_pool, cfg):
     # scan sorts the stripes' hit pairs by one key, (y - min_x) * width +
     # (x - min_x), and expands each through one index: at every stripe
