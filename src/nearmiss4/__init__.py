@@ -24,10 +24,12 @@ from .sequences import (
     CancellationError,
     ClosedFormConstants,
     Powers,
+    Terms,
     Triplet,
     canonical_constants,
-    carried_powers,
+    carried_terms,
     closed_form_powers,
+    closed_form_terms,
     closed_form_xy,
     closed_form_z,
     gen_recurrence,
@@ -47,10 +49,12 @@ __all__ = [
     "QuadElem",
     "SearchConfig",
     "SearchHit",
+    "Terms",
     "Triplet",
     "canonical_constants",
-    "carried_powers",
+    "carried_terms",
     "closed_form_powers",
+    "closed_form_terms",
     "closed_form_xy",
     "closed_form_z",
     "expand_lhs",

@@ -214,14 +214,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     constants = sequences.canonical_constants()
     members = sequences.gen_recurrence(args.count)
     failures = 0
-    for t, powers in zip(members, sequences.carried_powers(args.count, constants)):
+    for t, terms in zip(members, sequences.carried_terms(args.count, constants)):
         problems = []
         r = sequences.residual(t.x, t.y, t.z)
         if r != sequences.R:
             problems.append(f"residual={r}")
         try:
-            cx, cy = sequences.closed_form_xy(t.n, constants, powers)
-            cz = sequences.closed_form_z(t.n, constants, powers)
+            cx, cy = sequences.closed_form_xy(t.n, constants, terms)
+            cz = sequences.closed_form_z(t.n, constants, terms)
             if (cx, cy, cz) != (t.x, t.y, t.z):
                 problems.append(
                     f"closed-form=({cx},{cy},{cz}) != recurrence=({t.x},{t.y},{t.z})"
@@ -244,8 +244,9 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
     k = sequences.canonical_constants()
     n = args.n
     p = sequences.closed_form_powers(n, k)  # rejects n before any power is raised
-    x, y = sequences.closed_form_xy(n, k, p)
-    z = sequences.closed_form_z(n, k, p)
+    t = sequences.closed_form_terms(n, k, p)
+    x, y = sequences.closed_form_xy(n, k, t)
+    z = sequences.closed_form_z(n, k, t)
     sign = 1 if n % 2 == 0 else -1
     # lift CPython's int -> str digit limit for these prints only: z_n
     # passes its default of 4300 digits at n = 1278; 0 means no limit
@@ -255,15 +256,15 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
     try:
         print(f"n = {n}")
         print(f"lambda1^n   = {p.lambda1}")
-        print(f"a*lambda1^n = {k.a * p.lambda1}")
-        print(f"b*lambda2^n = {k.b * p.lambda2}")
+        print(f"a*lambda1^n = {t.a}")
+        print(f"b*lambda2^n = {t.b}")
         print(f"x_n         = {x}")
-        print(f"c*lambda1^n = {k.c * p.lambda1}")
-        print(f"d*lambda2^n = {k.d * p.lambda2}")
+        print(f"c*lambda1^n = {t.c}")
+        print(f"d*lambda2^n = {t.d}")
         print(f"y_n         = {y}")
         print(f"mu1^n       = {p.mu1}")
-        print(f"e*mu1^n     = {k.e * p.mu1}")
-        print(f"f*mu2^n     = {k.f * p.mu2}")
+        print(f"e*mu1^n     = {t.e}")
+        print(f"f*mu2^n     = {t.f}")
         print(f"(-1)^n * g  = {sign * k.g}")
         print(f"z_n         = {z}")
     finally:

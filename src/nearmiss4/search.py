@@ -226,10 +226,12 @@ BAND_PAIR_WEIGHT = 100
 # each path of a stripe stops within one block, or one x, of it.  Peaks
 # (VmHWM) of fresh processes on 2 vCPUs, 32 MB of it the interpreter and
 # numpy: a refusal holds five int64 columns, about 38 B a row, on either
-# path (426 MB for `search --min-x 1000000 --max-x 1100000 --threshold
-# 10^12`, 871 MB summed at --workers 2), and an accepted search about
-# 100 B a row (1,413,764 rows over 1000000..1002000 at t = 10^12: 172 to
-# 182 MB, by heap layout; 450,344 over 10000..11000 at t = 1.4e8: 72 MB).
+# path (441 MB for `search --min-x 1000000 --max-x 1100000 --threshold
+# 10^12`; 871 MB summed at --workers 2 when last measured).  An accepted
+# search takes about 90 B a row in the kernel, which joins its columns
+# one at a time, as its stripe does (1,413,764 rows over
+# 1000000..1002000 at t = 10^12: 159 MB), and about 100 B in the window
+# loop (450,344 rows over 10000..11000 at t = 1.4e8: 76 MB).
 MAX_WINDOW_ROWS = 10**7
 
 
@@ -454,7 +456,7 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Column
     partners = reach13.take(subclasses[:, None] + q[iy], mode="wrap")
     p4y = p4[iy] - lo  # y^4 - lo; this and the sums below wrap mod 2^64
     f4y = f4[iy] - lo
-    hits: list[tuple[np.ndarray, ...]] = []
+    hits: tuple[list[np.ndarray], ...] = ([], [], [], [], [])  # x, y, z, d, n by block
     rows = 0  # counted block by block, so a stripe stops at the cap
     # (x indexes, square?); class g is paired with the classes g' >= g in
     # the square, which is symmetric, and with every class in the
@@ -519,11 +521,27 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Column
                             keep = (x <= y) | (u[y - min_x] != g)
                             x, y, z, d, n = x[keep], y[keep], z[keep], d[keep], n[keep]
                         rows = _count_rows(rows + int(n.sum()))
-                        hits.append((x, y, z, d, n))
-    if not hits:
+                        for column, part in zip(hits, (x, y, z, d, n)):
+                            column.append(part)
+    if not hits[0]:
         return _columns([])
-    x, y, z, d, n = map(np.concatenate, zip(*hits))
-    return np.minimum(x, y), np.maximum(x, y), z, d + lo, n
+    x, y, z, d, n = _joined(hits)
+    # in place: a square pair of one class may have come out as (y, x)
+    swap = x > y
+    x[swap], y[swap] = y[swap], x[swap]
+    d += lo
+    return x, y, z, d, n
+
+
+def _joined(columns: Sequence[list[np.ndarray]]) -> _Columns:
+    """Each column's parts concatenated, one column at a time, its list
+    emptied before the next is joined, so that at most one column is held
+    twice."""
+    joined = []
+    for parts in columns:
+        joined.append(np.concatenate(parts))
+        parts.clear()
+    return tuple(joined)
 
 
 def _scan_stripe(cfg: SearchConfig, index: int, stride: int, y0: int) -> _Columns:
@@ -536,7 +554,11 @@ def _scan_stripe(cfg: SearchConfig, index: int, stride: int, y0: int) -> _Column
         parts.append(_columns(found))
     if y0 <= cfg.max_x:
         parts.append(_scan_kernel(cfg, y0, index, stride))
-    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(_columns([]), *parts)))
+    if len(parts) == 1:
+        return parts[0]
+    columns = [list(column) for column in zip(_columns([]), *parts)]
+    del parts  # so that each column's parts are freed as it is joined
+    return _joined(columns)
 
 
 def _cpus() -> int:

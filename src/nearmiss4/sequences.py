@@ -13,11 +13,13 @@ a closed form must cancel every sqrt(577) term identically; anything
 else is a bug, never a rounding concern.  gen_recurrence streams the
 members, carrying the last two triplets only.
 
-A closed form at index n is evaluated from the powers lambda1^n,
-lambda2^n, mu1^n and mu2^n of its roots.  closed_form_powers(n), their
-default, raises them by repeated squaring, for random access;
-carried_powers(count) walks indices 0..count-1 in order, one product
-per root per index, for callers that visit every index.
+A closed form at index n is the sum of its Terms: a*lambda1^n,
+b*lambda2^n, c*lambda1^n, d*lambda2^n, e*mu1^n and f*mu2^n, plus
+(-1)^n * g for z.  closed_form_terms(n), their default, raises each root
+by repeated squaring (closed_form_powers) and multiplies by its
+coefficients, for random access; carried_terms(count) walks indices
+0..count-1 in order, one product per term per index, for callers that
+visit every index.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from math import isqrt
-from operator import mul
 from typing import Iterator, NamedTuple
 
 from .exactmath import QuadElem
@@ -35,13 +36,15 @@ __all__ = [
     "Triplet",
     "ClosedFormConstants",
     "Powers",
+    "Terms",
     "CancellationError",
     "INITIAL_TRIPLETS",
     "canonical_constants",
     "gen_recurrence",
     "residual",
     "closed_form_powers",
-    "carried_powers",
+    "closed_form_terms",
+    "carried_terms",
     "closed_form_xy",
     "closed_form_z",
 ]
@@ -53,7 +56,8 @@ A = 48  # x_n = A*x_{n-1} + x_{n-2}; even, so lambda1 lies in Q(sqrt(A^2/4+1))
 D = A * A // 4 + 1  # 577: the family's field is Q(sqrt(D))
 R = 8  # the miss: residual(x, y, z) = R on every member
 # Indices 0..MAX_INDEX-1 are served.  z_n has about 3.4*n digits, so the
-# cost per index grows with n: verify --count 10^4 takes about 40 s.
+# cost per index grows with n: verify --count 10^4 takes about 25 s (a
+# fresh process on 2 vCPUs).
 MAX_INDEX = 10**4
 
 
@@ -145,8 +149,14 @@ def gen_recurrence(count: int) -> Iterator[Triplet]:
 
 
 def residual(x: int, y: int, z: int) -> int:
-    """x^4 + y^4 - z^2, exactly; R on every member of the family."""
-    return x**4 + y**4 - z * z
+    """x^4 + y^4 - z^2, exactly; R on every member of the family.
+
+    Formed as x2*x2 + (y2 - z)*(y2 + z) with x2 = x^2 and y2 = y^2, since
+    y^4 - z^2 = (y^2 - z)*(y^2 + z): one product of z's size in place of
+    squaring y^2 and z.
+    """
+    x2, y2 = x * x, y * y
+    return x2 * x2 + (y2 - z) * (y2 + z)
 
 
 def _exact_int(value: QuadElem, what: str) -> int:
@@ -185,56 +195,81 @@ def closed_form_powers(n: int, constants: ClosedFormConstants | None = None) -> 
     return Powers(*(root**n for root in _roots(constants)))
 
 
-def _times(powers: Powers, roots: Powers) -> Powers:
-    return Powers(*map(mul, powers, roots))
+class Terms(NamedTuple):
+    """a*lambda1^n, b*lambda2^n, c*lambda1^n, d*lambda2^n, e*mu1^n and
+    f*mu2^n of one ClosedFormConstants at one index n, each named by its
+    coefficient: x_n = a + b, y_n = c + d and z_n = e + f + (-1)^n * g."""
+
+    a: QuadElem
+    b: QuadElem
+    c: QuadElem
+    d: QuadElem
+    e: QuadElem
+    f: QuadElem
 
 
-def carried_powers(
+def closed_form_terms(
+    n: int, constants: ClosedFormConstants | None = None, powers: Powers | None = None
+) -> Terms:
+    """The six terms at index n, each coefficient times its root's power.
+
+    powers, the Powers at index n of the same constants, defaults to
+    closed_form_powers(n, constants).
+    """
+    _check_index(n)
+    k = constants if constants is not None else canonical_constants()
+    l1n, l2n, m1n, m2n = powers if powers is not None else closed_form_powers(n, k)
+    return Terms(k.a * l1n, k.b * l2n, k.c * l1n, k.d * l2n, k.e * m1n, k.f * m2n)
+
+
+def carried_terms(
     count: int, constants: ClosedFormConstants | None = None
-) -> Iterator[Powers]:
-    """The four powers at indices 0..count-1, in order, lazily.
+) -> Iterator[Terms]:
+    """The six terms at indices 0..count-1, in order, lazily.
 
-    Each starts from the exact one and is multiplied by its own root once
-    per index.  No power is derived from another (lambda2^n is not taken
-    as the conjugate of lambda1^n, nor mu1^n as lambda1^(2n)), so
-    perturbed constants are evaluated exactly as given.
+    Each starts from its coefficient and is multiplied by its own root
+    once per index.  No term is derived from another (b*lambda2^n is not
+    taken as the conjugate of a*lambda1^n, nor e*mu1^n from lambda1^(2n)),
+    so perturbed constants are evaluated exactly as given.
     """
     if not 1 <= count <= MAX_INDEX:
         raise ValueError(f"count must be in 1..{MAX_INDEX}, got {count}")
-    roots = _roots(constants)
-    one = Powers(*(QuadElem(1, 0, root.d) for root in roots))
-    return accumulate(repeat(roots, count - 1), _times, initial=one)
+    k = constants if constants is not None else canonical_constants()
+    l1, l2, m1, m2 = _roots(k)
+
+    def advance(t: Terms, _: None) -> Terms:
+        return Terms(t.a * l1, t.b * l2, t.c * l1, t.d * l2, t.e * m1, t.f * m2)
+
+    start = Terms(k.a, k.b, k.c, k.d, k.e, k.f)
+    return accumulate(repeat(None, count - 1), advance, initial=start)
 
 
 def closed_form_xy(
-    n: int, constants: ClosedFormConstants | None = None, powers: Powers | None = None
+    n: int, constants: ClosedFormConstants | None = None, terms: Terms | None = None
 ) -> tuple[int, int]:
     """(x_n, y_n) from the closed forms, with exact cancellation checks.
 
-    powers, the Powers at index n of the same constants, defaults to
-    closed_form_powers(n, constants).
+    terms, the Terms at index n of the same constants, defaults to
+    closed_form_terms(n, constants).
     """
     _check_index(n)
-    k = constants if constants is not None else canonical_constants()
-    l1n, l2n, _, _ = powers if powers is not None else closed_form_powers(n, k)
-    x = _exact_int(k.a * l1n + k.b * l2n, f"x_{n}")
-    y = _exact_int(k.c * l1n + k.d * l2n, f"y_{n}")
-    return x, y
+    t = terms if terms is not None else closed_form_terms(n, constants)
+    return _exact_int(t.a + t.b, f"x_{n}"), _exact_int(t.c + t.d, f"y_{n}")
 
 
 def closed_form_z(
-    n: int, constants: ClosedFormConstants | None = None, powers: Powers | None = None
+    n: int, constants: ClosedFormConstants | None = None, terms: Terms | None = None
 ) -> int:
     """z_n from its closed form; must come out a positive integer.
 
-    powers, the Powers at index n of the same constants, defaults to
-    closed_form_powers(n, constants).
+    terms, the Terms at index n of the same constants, defaults to
+    closed_form_terms(n, constants).
     """
     _check_index(n)
     k = constants if constants is not None else canonical_constants()
-    _, _, m1n, m2n = powers if powers is not None else closed_form_powers(n, k)
+    t = terms if terms is not None else closed_form_terms(n, k)
     sign = 1 if n % 2 == 0 else -1
-    z = _exact_int(k.e * m1n + k.f * m2n + sign * k.g, f"z_{n}")
+    z = _exact_int(t.e + t.f + sign * k.g, f"z_{n}")
     if z <= 0:
         raise CancellationError(f"z_{n}: expected a positive integer, got {z}")
     return z

@@ -406,6 +406,28 @@ def test_closed_form_exposes_cancellation(capsys):
     assert "(-1)^n * g  = 48/577" in out
 
 
+def test_closed_form_forms_each_term_once(capsys, monkeypatch):
+    # the six terms it prints are the ones that the closed forms sum, each
+    # a product formed once, and each is printed on its own line
+    n = 7
+    terms = sequences.closed_form_terms(n)
+    products = []
+    original = exactmath.QuadElem.__mul__
+
+    def counted(self, other):
+        products.append(original(self, other))
+        return products[-1]
+
+    monkeypatch.setattr(exactmath.QuadElem, "__mul__", counted)
+    monkeypatch.setattr(exactmath.QuadElem, "__rmul__", counted)
+    code, out, _ = run(capsys, "closed-form", "--n", str(n))
+    assert code == 0
+    labels = ["a*lambda1^n", "b*lambda2^n", "c*lambda1^n", "d*lambda2^n", "e*mu1^n", "f*mu2^n"]
+    for label, term in zip(labels, terms):
+        assert products.count(term) == 1
+        assert f"{label:<11} = {term}" in out.splitlines()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["gen", "--count", "10001"], ["verify", "--count", "10001"], ["closed-form", "--n", "10000"]],

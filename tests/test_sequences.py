@@ -3,8 +3,11 @@
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nearmiss4.exactmath import QuadElem
 from nearmiss4.search import SearchHit, verify_hit
@@ -12,11 +15,11 @@ from nearmiss4.sequences import (
     MAX_INDEX,
     R,
     CancellationError,
-    Powers,
+    Terms,
     Triplet,
     canonical_constants,
-    carried_powers,
-    closed_form_powers,
+    carried_terms,
+    closed_form_terms,
     closed_form_xy,
     closed_form_z,
     gen_recurrence,
@@ -80,6 +83,32 @@ def test_residual_examples():
     assert residual(1, 2, 3) == 8  # a search hit, not a family member
 
 
+# small values; x^4 + y^4 and z^2 about 2^64; x of 600 digits, as at family
+# member n = 356
+SCALES = [2**6, 2**16, 10**600]
+
+
+@st.composite
+def residual_args(draw):
+    """(x, y, z) at one scale, z either anywhere up to the scale squared or
+    within 3 of sqrt(x^4 + y^4), so that results of both signs appear."""
+    s = draw(st.sampled_from(SCALES))
+    x, y = draw(st.integers(-s, s)), draw(st.integers(-s, s))
+    if draw(st.booleans()):
+        return x, y, draw(st.integers(-s * s, s * s))
+    return x, y, isqrt(x**4 + y**4) + draw(st.integers(-3, 3))
+
+
+@settings(deadline=None)
+@given(residual_args())
+@example((1, 1, 2))  # -2
+@example((2**16, 2**16, 2**32 + 1))  # 2^64 - 2^33 - 1
+@example((22, 23, -717))
+def test_residual_is_x4_plus_y4_minus_z2(xyz):
+    x, y, z = xyz
+    assert residual(x, y, z) == x**4 + y**4 - z * z
+
+
 def test_residual_is_R_to_depth_60():
     for t in gen_recurrence(60):
         assert residual(t.x, t.y, t.z) == R
@@ -103,24 +132,25 @@ def test_closed_form_matches_recurrence_to_25():
         assert closed_form_z(t.n) == t.z
 
 
-@pytest.mark.parametrize("root", [None, "lambda1", "lambda2", "mu1", "mu2"])
-def test_carried_powers_equal_direct_powers(root):
-    # a root shifted off its canonical value exposes a power derived from
-    # another root (lambda2^n as the conjugate of lambda1^n, say)
+@pytest.mark.parametrize("field", [None, "lambda1", "lambda2", "mu1", "mu2", *"abcdef"])
+def test_carried_terms_equal_closed_form_terms(field):
+    # a root or a coefficient shifted off its canonical value exposes a term
+    # derived from another (b*lambda2^n as the conjugate of a*lambda1^n, say)
     k = canonical_constants()
-    if root is not None:
-        k = replace(k, **{root: getattr(k, root) + Fraction(1, 3)})
-    carried = list(carried_powers(61, k))
+    if field is not None:
+        k = replace(k, **{field: getattr(k, field) + Fraction(1, 3)})
+    carried = list(carried_terms(61, k))
     assert len(carried) == 61
-    for n, powers in enumerate(carried):
-        assert powers == Powers(k.lambda1**n, k.lambda2**n, k.mu1**n, k.mu2**n)
-        assert powers == closed_form_powers(n, k)
+    for n, terms in enumerate(carried):
+        l1n, l2n, m1n, m2n = k.lambda1**n, k.lambda2**n, k.mu1**n, k.mu2**n
+        assert terms == Terms(k.a * l1n, k.b * l2n, k.c * l1n, k.d * l2n, k.e * m1n, k.f * m2n)
+        assert terms == closed_form_terms(n, k)
 
 
-def test_carried_powers_rejects_counts_outside_the_index_range():
+def test_carried_terms_rejects_counts_outside_the_index_range():
     for count in (0, 10**4 + 1):
         with pytest.raises(ValueError):
-            carried_powers(count)
+            carried_terms(count)
 
 
 def test_closed_form_rejects_negative_index():
