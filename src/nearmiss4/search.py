@@ -38,7 +38,7 @@ r = isqrt(s - lo) exactly.  The float estimate errs by well under one
 up to KERNEL_MAX_X.  A pair that hits at r - 1 too has s <= t^2, so
 t <= INTERVAL_MAX_T, and r <= t, so s - hi - 1 < 2^52 is exact in
 float64 and int64: the kernel takes its z_lo by one more float square
-root and +/-1 step.  It returns each hit pair as one row: z_lo, the
+root and +/-1 step.  It yields each hit pair as one row: z_lo, the
 residual s - z_lo^2 and the pair's count of hits, n = r - z_lo + 1.
 
 The kernel runs behind a congruence sieve.  A hit means s - v = z^2 for
@@ -96,9 +96,10 @@ kernel is tested against, and it takes the band y < y0: y <= R^(1/4)
 for an exact residual 0 < R <= INTERVAL_MAX_T, at most 76 values of y
 and 2926 pairs; y <= sqrt(t) past INTERVAL_MAX_T; and every pair under
 force_exact or when max_x is above KERNEL_MAX_X (y0 is then max_x + 1).
-Both paths count their rows, the n of each hit pair, as they go, and a
-scan whose rows pass MAX_WINDOW_ROWS is refused with a ValueError once
-a count passes it, before any row is expanded.
+The window loop makes its rows x by x and the kernel yields them block by
+block; a stripe counts the rows of each part, the n of each hit pair, as
+it takes it, and a scan whose rows pass MAX_WINDOW_ROWS is refused with
+a ValueError once a count passes it, before any row is expanded.
 
 The x values of the band and of each class of each kernel region are
 split into interleaved stripes, one process each, at most one per CPU
@@ -116,8 +117,9 @@ builds a SearchHit only for a row that is read.
 from __future__ import annotations
 
 import os
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
 from multiprocessing import Pool
 from typing import NamedTuple
@@ -219,18 +221,20 @@ MIN_STRIPE_PAIRS = 2**21
 # pairs, and a threshold has band pairs only past it.
 BAND_PAIR_WEIGHT = 100
 
-# Most rows a scan may return.  The kernel counts its rows block by
-# block, the window loop x by x, and scan the merged total of its
-# stripes; each raises a ValueError once its count passes the cap.  So a
-# scan is refused iff its rows pass the cap, at any worker count, and
-# each path of a stripe stops within one block, or one x, of it.  Peaks
-# (VmHWM) of fresh processes on 2 vCPUs, 32 MB of it the interpreter and
-# numpy: a refusal holds five int64 columns, about 38 B a row, on either
-# path (441 MB for `search --min-x 1000000 --max-x 1100000 --threshold
-# 10^12`; 871 MB summed at --workers 2 when last measured).  An accepted
-# search takes about 90 B a row in the kernel, which joins its columns
-# one at a time, as its stripe does (1,413,764 rows over
-# 1000000..1002000 at t = 10^12: 159 MB), and about 100 B in the window
+# Most rows a scan may return.  A stripe counts its rows part by part,
+# each x of the window loop and each block of the kernel, and scan the
+# merged total of its stripes; each raises a ValueError once its count
+# passes the cap.  So a scan is refused iff its rows pass the cap, at any
+# worker count, and a stripe stops within one x, or one block, of it.
+# Peaks (VmHWM) of fresh processes on 2 vCPUs, stdout to /dev/null, 32 MB
+# of it the interpreter and numpy: a refusal holds five int64 columns,
+# about 38 B a row, on either path (441 MB for `search --min-x 1000000
+# --max-x 1100000 --threshold 10^12`; about 900 MB of summed RSS at
+# --workers 2).  An accepted search, whose stripe joins its parts one
+# column at a time, takes about 90 B a row from the kernel (1,413,764
+# rows over 1000000..1002000 at t = 10^12: 145-169 MB, median 157, over
+# 24 environments, as the heap's layout decides whether scan's large
+# arrays reuse the freed block parts) and about 100 B from the window
 # loop (450,344 rows over 10000..11000 at t = 1.4e8: 76 MB).
 MAX_WINDOW_ROWS = 10**7
 
@@ -313,7 +317,7 @@ _Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 def _scan_x_exact(x: int, y_end: int, lo: int, hi: int) -> list[_Row]:
     # a pair hits at every z from z_lo to r = isqrt(s - lo) and at no
-    # other; each hit pair is one row, as the kernel returns it: z_lo, the
+    # other; each hit pair is one row, as the kernel yields it: z_lo, the
     # residual s - z_lo^2 and the count of hits r - z_lo + 1
     rows: list[_Row] = []
     x4 = x**4
@@ -409,10 +413,12 @@ def _reach(lo: int, hi: int, m: int = SIEVE_MODULUS) -> np.ndarray:
     """Bool vector over w mod m: True iff w - v is a square mod m for some
     v in lo..hi, as a pair with (x^4 + y^4) mod m = w needs to hit; for
     m = SIEVE_MODULUS, True at every such sum for a threshold t >= 9."""
+    if hi - lo + 1 >= m:  # every residue: v = w itself leaves 0, a square
+        return np.ones(m, dtype=bool)
     k = np.arange(m, dtype=np.int64)
     is_square = np.zeros(m, dtype=bool)
     is_square[k * k % m] = True
-    shifts = (lo % m + np.arange(min(hi - lo + 1, m))) % m  # the v mod m
+    shifts = (lo % m + np.arange(hi - lo + 1)) % m  # the v mod m
     reach = np.zeros(m, dtype=bool)
     reach[(np.flatnonzero(is_square)[:, None] + shifts[None, :]) % m] = True
     return reach
@@ -426,12 +432,13 @@ def _usable(lo: int, hi: int) -> np.ndarray:
     return _reach(lo, hi, 5)[(c[:, None] + c) % 5].any(axis=1)
 
 
-def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Columns:
+def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> Iterator[_Columns]:
     """Hits lo <= x^4 + y^4 - z^2 <= hi, for this worker's stripe of each
     class's usable x values (_usable), over every pair of usable values
     with y >= y0: the square y0 <= x <= y <= max_x and the rectangle
-    min_x <= x < y0 <= y <= max_x.  One row per hit pair: x, y, its least
-    z, the residual there and its count n of hits.
+    min_x <= x < y0 <= y <= max_x.  Yields the hits block by block, one
+    row per hit pair: x <= y, its least z, the residual there and its
+    count n of hits.
 
     Valid only for y0 = _kernel_y_start(cfg): then isqrt(s - lo) is a z
     of every pair, and every value the kernel forms is exact.
@@ -456,8 +463,6 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Column
     partners = reach13.take(subclasses[:, None] + q[iy], mode="wrap")
     p4y = p4[iy] - lo  # y^4 - lo; this and the sums below wrap mod 2^64
     f4y = f4[iy] - lo
-    hits: tuple[list[np.ndarray], ...] = ([], [], [], [], [])  # x, y, z, d, n by block
-    rows = 0  # counted block by block, so a stripe stops at the cap
     # (x indexes, square?); class g is paired with the classes g' >= g in
     # the square, which is symmetric, and with every class in the
     # rectangle, where every y exceeds every x
@@ -487,14 +492,14 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Column
                 for i in range(0, xs.size, h):
                     for j in range(0, ys.size, w):
                         width = min(w, ys.size - j)
-                        if not span:  # an exact window: d = 0 and n = 1
+                        if not span:  # an exact window: d = R and n = 1
                             k, z = _exact_roots(
                                 p4x[i : i + h], f4x[i : i + h], p4s[j : j + w], f4s[j : j + w]
                             )
                             if not k.size:
                                 continue
-                            d = np.zeros_like(z)
-                            n = d + 1
+                            d = np.full_like(z, lo)
+                            n = np.ones_like(z)
                         else:
                             r, d = _isqrt(
                                 (p4x[i : i + h, None] + p4s[None, j : j + w]).ravel(),
@@ -504,12 +509,13 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Column
                             if not k.size:
                                 continue
                             z, d, n = r[k], d[k], np.ones(k.size, dtype=np.int64)
-                            # the pairs that hit at r - 1 too: 2r - 1 <= span - d
+                            d += lo  # the residual s - r^2
+                            # the pairs that hit at r - 1 too: 2r - 1 <= hi - d
                             # needs r <= t, so s - hi - 1 < 2^52 is exact in float
-                            many = np.flatnonzero(2 * z - 1 <= span - d)
+                            many = np.flatnonzero(2 * z - 1 <= hi - d)
                             if many.size:
                                 r2 = z[many] * z[many]
-                                a = np.maximum(r2 + d[many] - span - 1, 0)  # s - hi - 1
+                                a = np.maximum(r2 + d[many] - hi - 1, 0)  # s - hi - 1
                                 z_lo = _isqrt(a, a.astype(np.float64))[0] + 1
                                 n[many] = z[many] - z_lo + 1
                                 d[many] += r2 - z_lo * z_lo
@@ -517,20 +523,13 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> _Column
                         x, y = xs[i + k // width], ys[j + k % width]
                         if square:
                             # a pair of two values of class g appears in its
-                            # square block twice, as (x, y) and as (y, x)
+                            # square block twice, as (x, y) and as (y, x);
+                            # one of another class may come out as (y, x)
                             keep = (x <= y) | (u[y - min_x] != g)
                             x, y, z, d, n = x[keep], y[keep], z[keep], d[keep], n[keep]
-                        rows = _count_rows(rows + int(n.sum()))
-                        for column, part in zip(hits, (x, y, z, d, n)):
-                            column.append(part)
-    if not hits[0]:
-        return _columns([])
-    x, y, z, d, n = _joined(hits)
-    # in place: a square pair of one class may have come out as (y, x)
-    swap = x > y
-    x[swap], y[swap] = y[swap], x[swap]
-    d += lo
-    return x, y, z, d, n
+                            swap = x > y
+                            x[swap], y[swap] = y[swap], x[swap]
+                        yield x, y, z, d, n
 
 
 def _joined(columns: Sequence[list[np.ndarray]]) -> _Columns:
@@ -546,18 +545,16 @@ def _joined(columns: Sequence[list[np.ndarray]]) -> _Columns:
 
 def _scan_stripe(cfg: SearchConfig, index: int, stride: int, y0: int) -> _Columns:
     lo, hi = cfg.window
-    parts = []  # each x's rows as columns, then the kernel's
-    total = 0  # counted x by x, so a stripe stops at the cap
-    for x in range(cfg.min_x + index, y0, stride):
-        found = _scan_x_exact(x, y0, lo, hi)
-        total = _count_rows(total + sum(row[4] for row in found))
-        parts.append(_columns(found))
-    if y0 <= cfg.max_x:
-        parts.append(_scan_kernel(cfg, y0, index, stride))
-    if len(parts) == 1:
-        return parts[0]
-    columns = [list(column) for column in zip(_columns([]), *parts)]
-    del parts  # so that each column's parts are freed as it is joined
+    loop = (_columns(_scan_x_exact(x, y0, lo, hi)) for x in range(cfg.min_x + index, y0, stride))
+    blocks = _scan_kernel(cfg, y0, index, stride) if y0 <= cfg.max_x else ()
+    # past a threshold of 2^62 one x's counts may sum past int64 (see scan)
+    count_type = object if cfg.threshold >= 2**62 else None
+    columns = tuple([empty] for empty in _columns([]))
+    total = 0  # counted part by part, so a stripe stops within one x, or one block, of the cap
+    for part in chain(loop, blocks):
+        total = _count_rows(total + int(part[4].sum(dtype=count_type)))
+        for column, values in zip(columns, part):
+            column.append(values)
     return _joined(columns)
 
 
@@ -622,8 +619,8 @@ def scan(cfg: SearchConfig, force_exact: bool = False) -> Hits:
     else:
         jobs = [(cfg, i, stripes, y0) for i in range(stripes)]
         with Pool(stripes) as pool:
-            parts = pool.starmap(_scan_stripe, jobs)
-        x, y, z, delta, n = map(np.concatenate, zip(*parts))
+            columns = [list(parts) for parts in zip(*pool.starmap(_scan_stripe, jobs))]
+        x, y, z, delta, n = _joined(columns)
     rows = _count_rows(int(n.sum()))
     if not rows:  # an empty int64 column cannot take a min_x past 2^63
         return Hits(x, y, z, delta)

@@ -270,15 +270,22 @@ def recording(monkeypatch, name):
     """Records each call of search.<name> as (args, rows), rows the list of
     its returned rows as Python ints, one per hit pair: (x, y, z, delta, n)
     with z the pair's least hit, delta the residual there and n its count
-    of hits."""
+    of hits.  A call that yields blocks of columns is recorded once per
+    block, as the block is taken."""
     calls = []
     original = getattr(search, name)
 
     def recorded(*args):
         result = original(*args)
-        rows = result if isinstance(result, list) else zip(*(c.tolist() for c in result))
-        calls.append((args[1:], list(rows)))
-        return result
+        if isinstance(result, list):
+            calls.append((args[1:], result))
+            return result
+        return blocks(args, result)
+
+    def blocks(args, result):
+        for block in result:
+            calls.append((args[1:], list(zip(*(c.tolist() for c in block)))))
+            yield block
 
     monkeypatch.setattr(search, name, recorded)
     return calls
@@ -302,10 +309,10 @@ def test_tightest_kernel_pairs(monkeypatch):
     for (cfg, row), exact in zip(cases, expected):
         kernel.clear()
         hits = scan(cfg)
-        [((y0, _, _), rows)] = kernel
+        [(y0, _, _)] = {args for args, _ in kernel}
         assert _kernel_y_start(cfg) == y0 == cfg.min_x
         assert row[:4] in hits and hits == exact
-        assert row in rows
+        assert row in [kept for _, rows in kernel for kept in rows]
 
 
 @pytest.mark.parametrize(
@@ -338,8 +345,8 @@ def test_kernel_counts_the_hits_of_a_pair(t, rows):
                 brute.append((x, y, zs[0], s - zs[0] ** 2, len(zs)))
     assert sorted(loop) == sorted(brute)
     y0 = _kernel_y_start(cfg)
-    x, y, z, delta, n = search._scan_kernel(cfg, y0, 0, 1)
-    kernel = list(zip(x.tolist(), y.tolist(), z.tolist(), delta.tolist(), n.tolist()))
+    blocks = search._scan_kernel(cfg, y0, 0, 1)
+    kernel = [row for block in blocks for row in zip(*(c.tolist() for c in block))]
     if t <= INTERVAL_MAX_T:
         assert y0 == 1 and sorted(kernel) == sorted(brute)
     else:
@@ -516,6 +523,9 @@ def test_kernel_matches_exact_at_boundaries(pair, fraction):
 
 
 WINDOWS = [(r, r) for r in (8, 0, -7, 72, 2**50 + 3, -(2**40))] + [(-5, 5), (3, 9), (-50, 50)]
+# windows of 431, 432 and 433 values, and a wide one: from 432 values on
+# every residue is reached
+WINDOWS += [(1, 431), (0, 431), (-216, 216), (-(10**6), 10**6)]
 
 # (x^4 + y^4) mod 432 for every residue pair (x mod 432, y mod 432): the
 # entry of _reach that the pair reads
@@ -535,6 +545,8 @@ def test_admissible_table_is_the_squares_mod_432(lo, hi):
     ]
     assert m == 432 and len(set(CLASSES.tolist())) == 20
     assert _reach(lo, hi)[CLASS_SUMS].tolist() == expected
+    reached = [any((w - v) % m in squares for v in range(lo, hi + 1)) for w in range(m)]
+    assert _reach(lo, hi).tolist() == reached
 
 
 def test_admissible_share_for_the_family_residual():
@@ -1006,7 +1018,7 @@ def test_band_takes_only_the_corner(monkeypatch):
     kernel = recording(monkeypatch, "_scan_kernel")
     hits = scan(SearchConfig(max_x=7000, exact_residual=8))
     assert loop == [((2, 8, 8), [])]
-    assert [args for args, _ in kernel] == [(2, 0, 1)]
+    assert {args for args, _ in kernel} == {(2, 0, 1)}
     assert {(1, 2, 3, 8), (22, 23, 717, 8), (1058, 1103, 1653213, 8)} <= set(hits)
     for cfg, x0 in (
         (SearchConfig(max_x=1200, threshold=300), 15),
@@ -1015,8 +1027,8 @@ def test_band_takes_only_the_corner(monkeypatch):
         loop.clear()
         kernel.clear()
         hits = scan(cfg)
-        [(args, rows)] = kernel
-        assert loop == [] and args == (1, 0, 1)
+        rows = [row for _, block in kernel for row in block]
+        assert loop == [] and {args for args, _ in kernel} == {(1, 0, 1)}
         assert max(x for x, _, _, _, n in rows if n > 1) < x0
         assert len(hits) == sum(n for *_, n in rows) > len(rows)
         assert hits == scan(cfg, force_exact=True)
@@ -1361,11 +1373,14 @@ def test_threshold_past_2_62_expands_in_exact_ints(min_x, max_x, t):
 def test_huge_threshold_window_is_refused(monkeypatch):
     # every pair takes the window loop: x = 1's 20 pairs hit about 10^6
     # times each (2.1e8 rows in all), and past KERNEL_MAX_X x = 2^25's 1001
-    # pairs about 6 * 10^4 times each, so the loop stops after its first x
+    # pairs about 6 * 10^4 times each, so the loop stops after its first x.
+    # At t = 2.5e37 x = 1's two pairs hit about 5e18 times each, counts
+    # that fit int64 but whose sum does not
     loop = recording(monkeypatch, "_scan_x_exact")
     for cfg in (
         SearchConfig(max_x=20, threshold=10**12),
         SearchConfig(min_x=KERNEL_MAX_X, max_x=KERNEL_MAX_X + 1000, threshold=10**20),
+        SearchConfig(max_x=2, threshold=(5 * 10**18) ** 2),
     ):
         loop.clear()
         with pytest.raises(ValueError, match=f"more than {MAX_WINDOW_ROWS} rows"):
@@ -1395,16 +1410,21 @@ def test_window_of_one_hit_pairs_is_refused(monkeypatch):
     assert sum(counts[:-1]) <= 10**5 < sum(counts)
 
 
-@pytest.mark.parametrize("force_exact, path", [(False, "_scan_kernel"), (True, "_scan_stripe")])
+@pytest.mark.parametrize("force_exact, path", [(False, "_scan_kernel"), (True, "_scan_x_exact")])
 def test_kernel_window_of_one_hit_pairs_is_refused(monkeypatch, force_exact, path):
     # 2,003,001 pairs with s > t^2, so one hit each at most, and 1,413,764
-    # rows with no cap; the kernel takes every pair with y > 10^6
+    # rows with no cap; the kernel takes every pair with y > 10^6, or under
+    # force_exact the window loop every pair
     monkeypatch.setattr(search, "MAX_WINDOW_ROWS", 10**5)
     cfg = SearchConfig(min_x=10**6, max_x=10**6 + 2000, threshold=10**12)
     assert _kernel_y_start(cfg) == 10**6 + 1
+    parts = recording(monkeypatch, path)
     with pytest.raises(ValueError, match="more than 100000 rows") as excinfo:
         scan(cfg, force_exact=force_exact)
-    assert refused_by(excinfo) == path
+    assert refused_by(excinfo) == "_scan_stripe"
+    # the stripe stops at the first block, or x, whose rows pass the cap
+    counts = [sum(row[4] for row in rows) for _, rows in parts]
+    assert sum(counts[:-1]) <= 10**5 < sum(counts)
 
 
 @pytest.mark.parametrize("stripes", [1, 2, 3, 4])
@@ -1430,11 +1450,12 @@ def test_scan_is_refused_iff_its_rows_pass_the_cap(monkeypatch, in_process_pool,
     assert [pool.processes for pool in in_process_pool] == [stripes] * 2 * (stripes > 1)
 
 
-def fresh_peak(cap: int, *argv: str) -> tuple[int, str, int]:
+def fresh_peak(cap: int, *argv: str, stdout=subprocess.PIPE) -> tuple[int, str | None, int]:
     """(exit status, stdout, peak MB) of `search *argv` with MAX_WINDOW_ROWS
     at cap, in a fresh process, which reports its own peak, VmHWM.  Its
     ru_maxrss would not do: Linux carries the peak of the process that
-    started it across the exec, so it reads at least the suite's peak."""
+    started it across the exec, so it reads at least the suite's peak.
+    stdout is None unless it is piped back."""
     code = (
         "import sys\n"
         "from nearmiss4 import cli, search\n"
@@ -1448,7 +1469,8 @@ def fresh_peak(cap: int, *argv: str) -> tuple[int, str, int]:
     proc = subprocess.run(
         [sys.executable, "-c", code, "search", *argv],
         env=env,
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=120,
     )
@@ -1480,6 +1502,21 @@ def test_window_loop_holds_its_rows_as_columns():
     status, out, peak = fresh_peak(10**6, *window)
     assert (status, out) == (2, "")
     assert peak - empty < 80  # MB: under 80 B a row
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_accepted_kernel_scan_joins_its_blocks_once():
+    # 1,413,764 one-hit rows, all from the kernel: five int64 columns of
+    # 54 MB.  The stripe joins the kernel's blocks one column at a time,
+    # and the search peaks 114-141 MB above an empty one, as the heap's
+    # layout decides whether scan's large arrays reuse the freed blocks.
+    # One more copy of the rows would add 54 MB
+    status, _, empty = fresh_peak(MAX_WINDOW_ROWS, "--min-x", "5", "--max-x", "5")
+    assert status == 0
+    window = ("--min-x", "1000000", "--max-x", "1002000", "--threshold", "1000000000000")
+    status, _, peak = fresh_peak(MAX_WINDOW_ROWS, *window, stdout=subprocess.DEVNULL)
+    assert status == 0
+    assert peak - empty < 160  # MB: a margin of 19 MB
 
 
 def test_no_delta_zero_ever():
