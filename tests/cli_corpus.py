@@ -78,6 +78,14 @@ WINDOWS = [
     # and the root of (29398946, 29398948) rounds 1/4 below its z
     "--min-x 55105 --max-x 55125 --exact-residual -2900491504",
     "--min-x 29398940 --max-x 29398950 --exact-residual 213663253265408",
+    # one planted hit each near 2^53: every x^4, y^4 - R and N = s - R of
+    # the window is below 2^53 up to max_x 8192 for R = 29293165 > 0 and
+    # up to 8191 for R = -31901455 <= 0, and each is recorded there and at
+    # one x past it
+    "--min-x 8190 --max-x 8192 --exact-residual 29293165",
+    "--min-x 8190 --max-x 8193 --exact-residual 29293165",
+    "--min-x 8187 --max-x 8191 --exact-residual -31901455",
+    "--min-x 8187 --max-x 8192 --exact-residual -31901455",
     # a threshold past 2^25: the window loop takes y < 5793, where a small
     # pair hits up to about 5,800 times (x <= 4: 57,920 rows) and a pair
     # near x = 3000 two or three times; 5780..5810 crosses y0 = 5793 into
