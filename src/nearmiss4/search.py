@@ -17,16 +17,20 @@ min_x for a threshold up to INTERVAL_MAX_T and the least y with y^4 > R
 for an exact residual R up to it; every pair with y >= y0 has s > b, so
 s > R and r >= 1, or at most one hit.  One vectorized kernel takes every
 pair with y >= y0, for every window, over the square y0 <= x <= y and
-the rectangle x < y0 <= y, and chooses its test by the window alone.
+the rectangle x < y0 <= y, and chooses its test by the window (an exact
+window's check by max_x too).
 
 An exact window, lo = hi = R, needs only whether N = s - R is a square.
 The kernel takes the float64 root e = sqrt(x^4 + y^4 - R) of every pair,
 which errs by under 0.45 (see KERNEL_MAX_X), so rint(e) = z at every
-square N = z^2.  A pair hits iff rint(e)^2 = N mod 2^64, a test that is
-exact; its row is (x, y, rint(e), R, 1).  The test runs in place over
-each block: one float sum, a square root and rint, then rint(e)^2 minus
-the two int64 tables, with no integer square root and no +/-1
-correction.
+square N = z^2; a hit's row is (x, y, rint(e), R, 1).  The kernel tests
+each block in place by one of two checks, both exact, with no integer
+square root and no +/-1 correction, chosen once a scan by _float_exact.
+Where 2 * max_x^4 - R < 2^53, every x^4, y^4 - R and N of a kernel pair
+is an integer below 2^53, exact in float64, and the float check keeps a
+pair iff rint(e) * rint(e) == N in float64 alone.  Past it the int64
+check keeps a pair iff rint(e)^2 = N mod 2^64, rint(e)^2 minus the two
+int64 tables.
 
 A threshold window forms s - lo in int64 and lets it wrap mod 2^64,
 estimates r as sqrt(x^4 + y^4 - lo) in float64, and forms
@@ -143,9 +147,14 @@ __all__ = ["Hits", "SearchConfig", "SearchHit", "processes", "scan", "verify_hit
 #
 # An exact window R takes e = sqrt(x^4 + (y^4 - R)) in float64 with
 # the same bound, |e - sqrt(N)| < 0.45 for N = s - R, so at a square
-# N = z^2, rho = rint(e) is z.  Its check is exact: |sqrt(N) - rho| <
-# 0.95, so |N - rho^2| < 0.95 * (2 * sqrt(N) + 1) < 2^63, and
-# rho^2 = N mod 2^64 means rho^2 = N.
+# N = z^2, rho = rint(e) is z.  Both of its checks are exact.  Where
+# 2 * max_x^4 - R < 2^53 (_float_exact), every x^4, y^4 - R and N of a
+# kernel pair is an integer below 2^53, so each is exact in float64, e
+# is the correctly rounded sqrt(N), and the float check rho * rho == N
+# is exact: rho^2 is exact below 2^53 and rounds to at least 2^53 > N
+# above it.  Elsewhere the int64 check holds: |sqrt(N) - rho| < 0.95,
+# so |N - rho^2| < 0.95 * (2 * sqrt(N) + 1) < 2^63, and rho^2 = N
+# mod 2^64 means rho^2 = N.
 KERNEL_MAX_X = 2**25
 
 # Largest t = max(-lo, hi) whose window starts the kernel at
@@ -196,14 +205,17 @@ SIEVE_BLOCK_PAIRS = 2**13
 # Least estimated work, in kept kernel pairs, that earns a scan a
 # process of its own: a scan runs at most one stripe per this many, so
 # two processes first run at 2^22 kept pairs (R = 8 from max_x 15488).
-# On 2 vCPUs (in-process medians of 7) a threshold window's kept pair
-# took 9.2-13 ns (t = 9 to max_x 3000) and an exact window's 6.2-7.2 ns
-# (R = 8 to max_x 20000), since it takes no integer square root.  Two
-# processes tie with one for an exact window between 7.0M and 10.1M kept
-# pairs, the cost of a pool start (exact residual 8, one scan per fresh
-# process, medians of 7, 1 / 2 processes: max_x 10000, 1.7M kept, 14 /
-# 30 ms; 12000, 2.5M, 17 / 32 ms; 16000, 4.5M, 29 / 36 ms; 20000, 7.0M,
-# 43 / 45 ms; 24000, 10.1M, 60 / 57 ms; 28000, 13.7M, 84 / 70 ms; 32000,
+# On 2 vCPUs (in-process, quartiles of 11) a threshold window's kept
+# pair took 11.2-12.0 ns (t = 9 to max_x 3000) and an exact window's,
+# which takes no integer square root, 7.6-8.0 ns under the int64 check
+# (R = 8 to max_x 20000) and 4.7-4.9 ns under the float check (R = 72 to
+# max_x 8191, 4.85M kept pairs, which took 27 ms in one fresh process and
+# 52 ms in two, medians of 7).  Two processes tie with one for an exact
+# window between 7.0M and 10.1M kept pairs under the int64 check, the
+# cost of a pool start (exact residual 8, one scan per fresh process,
+# medians of 7, 1 / 2 processes: max_x 10000, 1.7M kept, 14 / 30 ms;
+# 12000, 2.5M, 17 / 32 ms; 16000, 4.5M, 29 / 36 ms; 20000, 7.0M, 43 /
+# 45 ms; 24000, 10.1M, 60 / 57 ms; 28000, 13.7M, 84 / 70 ms; 32000,
 # 17.9M, 104 / 77 ms).  It stays below the tie: a pool there costs a few
 # ms, and the test workflow's pooled scans, the smallest of 4.5M kept
 # pairs, still run two processes.
@@ -211,7 +223,7 @@ MIN_STRIPE_PAIRS = 2**21
 
 # Cost of one band pair, which the window loop takes, in kept kernel
 # pairs.  Against 9-17 ns per kept kernel pair of a threshold window
-# (6-10 ns of an exact one, see MIN_STRIPE_PAIRS), a window-loop pair,
+# (5-10 ns of an exact one, see MIN_STRIPE_PAIRS), a window-loop pair,
 # scan's expansion of its rows included, took 0.5-0.6 us for an exact
 # window (R = 8) and 1.2-2.4 us for a threshold (t = 20000 and 100000 to
 # max_x 400, about 1 and 4.3 rows a pair, and t = 2^25 + 1 over
@@ -389,17 +401,36 @@ def _isqrt(s: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, d
 
 
+def _float_exact(max_x: int, residual: int) -> bool:
+    """Whether every x^4, y^4 - R and N = x^4 + y^4 - R of an exact
+    window R's kernel pairs, y <= max_x, is an integer below 2^53, so that
+    _exact_roots may check them in float64 alone (see KERNEL_MAX_X): the
+    last max_x is 8191 for -2^25 <= R <= 0 and 8192 for 0 < R <= 2^25.
+    A kernel pair has y^4 > R, so x^4 and y^4 - R are below its N, and
+    N <= 2 * max_x^4 - R."""
+    return 2 * max_x**4 - residual < 2**53
+
+
 def _exact_roots(
-    p4x: np.ndarray, f4x: np.ndarray, p4s: np.ndarray, f4s: np.ndarray
+    p4x: np.ndarray, f4x: np.ndarray, p4s: np.ndarray, f4s: np.ndarray, in_float: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """(k, z): the flat indexes k into the block of pairs whose
     N = p4x[a] + p4s[b], held mod 2^64, is a square z^2, k = a * width + b
     with width = p4s.size, and those z.  f4x and f4s are the float64
-    tables of p4x and p4s.  A pair is kept iff rint(e)^2 = N mod 2^64 for
-    the float root e of its N, which is exact (see KERNEL_MAX_X)."""
-    # rint(e)^2 - p4x == p4s in place: two 64 KB buffers a block, so that
-    # glibc does not trim the heap and fault it back in
+    tables of p4x and p4s.  With e the float root of N, a pair is kept iff
+    rint(e) * rint(e) == N in float64 when in_float, which is exact where
+    _float_exact holds, and else iff rint(e)^2 = N mod 2^64, which is
+    exact everywhere in the kernel (see KERNEL_MAX_X)."""
+    # two 64 KB buffers a block, so that glibc does not trim the heap and
+    # fault it back in
     e = np.add.outer(f4x, f4s)
+    if in_float:  # e is N, exactly
+        rho = np.sqrt(e)
+        np.rint(rho, out=rho)
+        np.multiply(rho, rho, out=rho)
+        k = np.flatnonzero(rho == e)
+        return k, np.sqrt(e.ravel()[k]).astype(np.int64)
+    # rint(e)^2 - p4x == p4s in place
     np.sqrt(e, out=e)
     np.rint(e, out=e)
     d = e.astype(np.int64)
@@ -449,6 +480,7 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> Iterato
     reach = _reach(lo, hi)
     reach13 = _reach(lo, hi, 13)
     span = hi - lo
+    in_float = not span and _float_exact(max_x, lo)
     v = np.arange(min_x, max_x + 1, dtype=np.int64)
     p4, f4 = _pow4(v)
     u = (v % m) ** 4 % m  # the class of v: v^4 mod M, one of 20 values
@@ -494,7 +526,11 @@ def _scan_kernel(cfg: SearchConfig, y0: int, index: int, stride: int) -> Iterato
                         width = min(w, ys.size - j)
                         if not span:  # an exact window: d = R and n = 1
                             k, z = _exact_roots(
-                                p4x[i : i + h], f4x[i : i + h], p4s[j : j + w], f4s[j : j + w]
+                                p4x[i : i + h],
+                                f4x[i : i + h],
+                                p4s[j : j + w],
+                                f4s[j : j + w],
+                                in_float,
                             )
                             if not k.size:
                                 continue

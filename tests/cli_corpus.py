@@ -73,9 +73,9 @@ WINDOWS = [
     "--min-x 5750 --max-x 5850 --exact-residual 33554433",
     f"--min-x {BIG_X} --max-x {BIG_X} --exact-residual {BIG_R}",
     # one kernel hit each at the extremes of the exact window's float
-    # filter: s past 2^64, where the root of (55111, 55118) rounds 2^-20
-    # above its z, and max_x past 2^24, where the filter passes every pair
-    # and the root of (29398946, 29398948) rounds 1/4 below its z
+    # root error: s past 2^64, where the root of (55111, 55118) rounds
+    # 2^-20 above its z, and max_x past 2^24, where the root of
+    # (29398946, 29398948) rounds 1/4 below its z
     "--min-x 55105 --max-x 55125 --exact-residual -2900491504",
     "--min-x 29398940 --max-x 29398950 --exact-residual 213663253265408",
     # one planted hit each near 2^53: every x^4, y^4 - R and N = s - R of

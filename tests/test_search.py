@@ -440,8 +440,8 @@ def exact_kernel_pairs(draw):
 def test_exact_roots_find_exactly_the_squares(case):
     # the float root of every N = s - R, square or not, lies within 0.45 of
     # sqrt(N), checked in exact rationals, so rint of it is z at a square
-    # N = z^2; and _exact_roots keeps the pair, with that z, iff N is a
-    # square, from either table order
+    # N = z^2; and _exact_roots' int64 check keeps the pair, with that z,
+    # iff N is a square, from either table order
     x, y, residual = case
     n = x**4 + y**4 - residual
     bound = Fraction(45, 100)
@@ -452,9 +452,114 @@ def test_exact_roots_find_exactly_the_squares(case):
     p4, f4 = _pow4(np.array([x, y], dtype=np.int64))
     for a, b in ((0, 1), (1, 0)):
         k, roots = search._exact_roots(
-            p4[a : a + 1], f4[a : a + 1], p4[b : b + 1] - residual, f4[b : b + 1] - residual
+            p4[a : a + 1], f4[a : a + 1], p4[b : b + 1] - residual, f4[b : b + 1] - residual, False
         )
         assert (k.tolist(), roots.tolist()) == want
+
+
+def below_2_53(lo, hi, residual):
+    """Whether every x^4, y^4 - R and N = x^4 + y^4 - R of the pairs
+    lo <= x <= y <= hi is an integer below 2^53, in exact integers."""
+    return all(
+        abs(v) < 2**53
+        for y in range(lo, hi + 1)
+        for x in range(lo, y + 1)
+        for v in (x**4, y**4 - residual, x**4 + y**4 - residual)
+    )
+
+
+def recording_checks(monkeypatch):
+    """Patches search._exact_roots to record in a list, returned, the
+    check of each block it takes: True for the float check."""
+    checks = []
+    exact_roots = search._exact_roots
+
+    def recording(*args):
+        checks.append(args[4])
+        return exact_roots(*args)
+
+    monkeypatch.setattr(search, "_exact_roots", recording)
+    return checks
+
+
+@st.composite
+def float_boundary_cases(draw):
+    """(x, y, R): a pair near x = 8192, where N = s - R crosses 2^53, and
+    an exact residual that plants a square N = z^2 (z the nearest root of
+    s), or one off it, or any R up to INTERVAL_MAX_T."""
+    y = BOUNDARY_X[0] + draw(st.integers(-30, 30))
+    x = y - draw(st.integers(0, 3))
+    s = x**4 + y**4
+    r = math.isqrt(s)
+    square = s - min(r, r + 1, key=lambda z: abs(s - z * z)) ** 2
+    residual = draw(
+        st.one_of(
+            st.integers(-INTERVAL_MAX_T, INTERVAL_MAX_T),
+            st.sampled_from([square - 1, square, square + 1]),
+        )
+    )
+    return x, y, residual
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(float_boundary_cases())
+def test_float_and_int64_checks_agree(monkeypatch, case):
+    # the window x..y takes the float check iff every x^4, y^4 - R and N of
+    # its pairs is below 2^53; there both checks keep the pair, with its z,
+    # iff N is a square, from either table order, and elsewhere the kernel
+    # runs the int64 check alone
+    x, y, residual = case
+    n = x**4 + y**4 - residual
+    z = math.isqrt(n)
+    want = ([0], [z]) if z * z == n else ([], [])
+    in_float = search._float_exact(y, residual)
+    assert in_float == below_2_53(x, y, residual)
+    p4, f4 = _pow4(np.array([x, y], dtype=np.int64))
+    for a, b in ((0, 1), (1, 0)):
+        tables = p4[a : a + 1], f4[a : a + 1], p4[b : b + 1] - residual, f4[b : b + 1] - residual
+        for check in {False, in_float}:
+            k, roots = search._exact_roots(*tables, check)
+            assert (k.tolist(), roots.tolist()) == want
+    with monkeypatch.context() as m:
+        checks = recording_checks(m)
+        cfg = SearchConfig(min_x=x, max_x=y, exact_residual=residual)
+        assert scan(cfg) == scan(cfg, force_exact=True)
+    assert set(checks) <= {in_float}
+
+
+@pytest.mark.parametrize("residual, last", [(-(2**25), 8191), (0, 8191), (8, 8192), (2**25, 8192)])
+def test_float_regime_ends_at_its_last_max_x(residual, last):
+    # in exact integers: every x^4, y^4 - R and N of a kernel pair with
+    # y <= last is below 2^53, and one x more puts (last + 1, last + 1),
+    # a kernel pair, past it
+    cfg = SearchConfig(max_x=last + 1, exact_residual=residual)
+    assert _kernel_y_start(cfg) <= last
+    assert below_2_53(last - 1, last, residual)
+    assert not below_2_53(last + 1, last + 1, residual)
+    assert search._float_exact(last, residual)
+    assert not search._float_exact(last + 1, residual)
+
+
+@pytest.mark.parametrize(
+    "min_x, max_x, residual, in_float",
+    [
+        (8190, 8192, 29293165, True),
+        (8190, 8193, 29293165, False),
+        (8187, 8191, -31901455, True),
+        (8187, 8192, -31901455, False),
+    ],
+)
+def test_planted_hit_at_the_float_boundary(monkeypatch, min_x, max_x, residual, in_float):
+    # one hit each, found by the float check at the last max_x inside its
+    # regime and by the int64 check one x past it
+    checks = recording_checks(monkeypatch)
+    cfg = SearchConfig(min_x=min_x, max_x=max_x, exact_residual=residual)
+    hits = scan(cfg)
+    assert set(checks) == {in_float}
+    assert len(hits) == 1 and verify_hit(hits[0])
+    assert hits == scan(cfg, force_exact=True)
 
 
 @pytest.mark.parametrize(
@@ -913,9 +1018,9 @@ def test_exact_residual_eight_evaluates_the_split_pairs(monkeypatch):
     evaluated = []
     exact_roots = search._exact_roots
 
-    def counting(p4x, f4x, p4s, f4s):
+    def counting(p4x, f4x, p4s, f4s, in_float):
         evaluated.append(p4x.size * p4s.size)
-        return exact_roots(p4x, f4x, p4s, f4s)
+        return exact_roots(p4x, f4x, p4s, f4s, in_float)
 
     monkeypatch.setattr(search, "_exact_roots", counting)
     cfg = SearchConfig(max_x=7000, exact_residual=8)
