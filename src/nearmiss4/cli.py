@@ -10,11 +10,10 @@ with it.  Ranges are the library's to check: its ValueError prints as
 
 TSV columns: gen -> n, x, y, z; search -> x, y, z, delta.  JSONL mirrors
 the TSV with the same field names; every field, n included, is a JSON
-string so no consumer is tempted to round them.  gen and search write
-their rows in batches, one write per batch; a gen that stops at the
-int -> str digit limit has already printed every earlier row whole.
-search renders int64 columns a chunk of rows at a time, with numpy,
-into the same bytes the per-row template gives.
+string so no consumer is tempted to round them.  Every command writes
+its stdout in batches of lines, one write each; search writes int64
+columns a chunk of rows at a time, rendered with numpy into the bytes
+the per-row template gives.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import os
 import sys
 import time
 from itertools import accumulate, islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,12 +37,9 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process it killed
 
-# Rows per stdout write: few writes, while one batch's text and bytes
-# stay small.  The bound alone does not make a closed pipe exit 141;
-# _write's loop does.  Through sys.stdout.write, all 3.37 MB of
-# `gen --count 1000` in one write left `| head -c 100` exiting 0,
-# silently truncated, and so did any one-batch output over the 64 KB
-# pipe buffer, such as `gen --count 200`.
+# Lines per stdout write, but for search's int64 columns: few writes (a print
+# into a pipe under PYTHONUNBUFFERED makes two), yet little text held at once.
+# A closed pipe exits 141 by _write's loop, not by this bound.
 _BATCH_ROWS = 256
 
 # Rows per stdout write of int64 columns, which _render_columns turns
@@ -147,19 +143,18 @@ def _template(fmt: str, names: tuple[str, ...]) -> str:
     return "{" + ",".join(f'"{name}":"%s"' for name in names) + "}\n"
 
 
-def _emit_rows(fmt: str, names: tuple[str, ...], rows: Iterable[tuple[int, ...]]) -> None:
-    template = _template(fmt, names)
-    rows = iter(rows)
+def _emit_lines(lines: Iterable[str]) -> None:
+    """Write lines to stdout, _BATCH_ROWS to a write.  A line that fails to
+    format (int -> str digit limit) leaves every earlier line written whole."""
+    lines = iter(lines)
     while True:
-        lines: list[str] = []
+        batch: list[str] = []
         try:
-            for row in islice(rows, _BATCH_ROWS):
-                lines.append(template % row)
+            for line in islice(lines, _BATCH_ROWS):
+                batch.append(line)
         finally:
-            # a row that cannot be formatted (int -> str digit limit)
-            # still leaves every earlier row on stdout, whole
-            _write("".join(lines))
-        if len(lines) < _BATCH_ROWS:
+            _write("".join(batch))
+        if len(batch) < _BATCH_ROWS:
             return
 
 
@@ -206,35 +201,38 @@ def _emit_columns(fmt: str, names: tuple[str, ...], columns: Sequence[np.ndarray
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    _emit_rows(args.format, sequences.Triplet._fields, sequences.gen_recurrence(args.count))
+    template = _template(args.format, sequences.Triplet._fields)
+    _emit_lines(template % row for row in sequences.gen_recurrence(args.count))
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     constants = sequences.canonical_constants()
     members = sequences.gen_recurrence(args.count)
-    failures = 0
-    for t, terms in zip(members, sequences.carried_terms(args.count, constants)):
-        problems = []
-        r = sequences.residual(t.x, t.y, t.z)
-        if r != sequences.R:
-            problems.append(f"residual={r}")
-        try:
-            cx, cy = sequences.closed_form_xy(t.n, constants, terms)
-            cz = sequences.closed_form_z(t.n, constants, terms)
-            if (cx, cy, cz) != (t.x, t.y, t.z):
-                problems.append(
-                    f"closed-form=({cx},{cy},{cz}) != recurrence=({t.x},{t.y},{t.z})"
-                )
-        except sequences.CancellationError as exc:
-            problems.append(f"closed-form error: {exc}")
-        if problems:
-            failures += 1
-            print(f"n={t.n} FAIL " + "; ".join(problems))
-        else:
-            print(f"n={t.n} ok")
-    if failures:
-        print(f"{failures} of {args.count} indices failed", file=sys.stderr)
+    failed: list[int] = []
+
+    def lines() -> Iterator[str]:
+        for t, terms in zip(members, sequences.carried_terms(args.count, constants)):
+            problems = []
+            r = sequences.residual(t.x, t.y, t.z)
+            if r != sequences.R:
+                problems.append(f"residual={r}")
+            try:
+                cx, cy = sequences.closed_form_xy(t.n, constants, terms)
+                cz = sequences.closed_form_z(t.n, constants, terms)
+                if (cx, cy, cz) != (t.x, t.y, t.z):
+                    problems.append(
+                        f"closed-form=({cx},{cy},{cz}) != recurrence=({t.x},{t.y},{t.z})"
+                    )
+            except sequences.CancellationError as exc:
+                problems.append(f"closed-form error: {exc}")
+            if problems:
+                failed.append(t.n)
+            yield f"n={t.n} " + ("FAIL " + "; ".join(problems) if problems else "ok") + "\n"
+
+    _emit_lines(lines())
+    if failed:
+        print(f"{len(failed)} of {args.count} indices failed", file=sys.stderr)
         return EXIT_FAILURE
     print(f"all {args.count} indices verified", file=sys.stderr)
     return EXIT_OK
@@ -247,26 +245,27 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
     t = sequences.closed_form_terms(n, k, p)
     x, y = sequences.closed_form_xy(n, k, t)
     z = sequences.closed_form_z(n, k, t)
-    sign = 1 if n % 2 == 0 else -1
-    # lift CPython's int -> str digit limit for these prints only: z_n
+    # lift CPython's int -> str digit limit for these lines only: z_n
     # passes its default of 4300 digits at n = 1278; 0 means no limit
     previous = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if previous:
         sys.set_int_max_str_digits(0)
     try:
-        print(f"n = {n}")
-        print(f"lambda1^n   = {p.lambda1}")
-        print(f"a*lambda1^n = {t.a}")
-        print(f"b*lambda2^n = {t.b}")
-        print(f"x_n         = {x}")
-        print(f"c*lambda1^n = {t.c}")
-        print(f"d*lambda2^n = {t.d}")
-        print(f"y_n         = {y}")
-        print(f"mu1^n       = {p.mu1}")
-        print(f"e*mu1^n     = {t.e}")
-        print(f"f*mu2^n     = {t.f}")
-        print(f"(-1)^n * g  = {sign * k.g}")
-        print(f"z_n         = {z}")
+        _write(
+            f"n = {n}\n"
+            f"lambda1^n   = {p.lambda1}\n"
+            f"a*lambda1^n = {t.a}\n"
+            f"b*lambda2^n = {t.b}\n"
+            f"x_n         = {x}\n"
+            f"c*lambda1^n = {t.c}\n"
+            f"d*lambda2^n = {t.d}\n"
+            f"y_n         = {y}\n"
+            f"mu1^n       = {p.mu1}\n"
+            f"e*mu1^n     = {t.e}\n"
+            f"f*mu2^n     = {t.f}\n"
+            f"(-1)^n * g  = {-k.g if n % 2 else k.g}\n"
+            f"z_n         = {z}\n"
+        )
     finally:
         if previous:
             sys.set_int_max_str_digits(previous)
@@ -286,7 +285,7 @@ def _cmd_identities(_args: argparse.Namespace) -> int:
         "expansion_tables_equal": tables_ok,
         "all_ok": all_ok,
     }
-    print(json.dumps(doc, indent=2))
+    _write(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK if all_ok else EXIT_FAILURE
 
 
@@ -304,7 +303,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if all(c.dtype == np.int64 for c in hits.columns):
         _emit_columns(args.format, search.SearchHit._fields, hits.columns)
     else:  # a value past int64, from the window loop
-        _emit_rows(args.format, search.SearchHit._fields, hits)
+        template = _template(args.format, search.SearchHit._fields)
+        _emit_lines(template % row for row in hits)
     print(
         f"scanned x in {cfg.min_x}..{cfg.max_x} with {search.processes(cfg)} worker(s): "
         f"{len(hits)} hit(s) in {elapsed:.2f}s",

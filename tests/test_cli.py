@@ -40,6 +40,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def writes(monkeypatch):
+    """Every text or bytes given to cli._write, in order; each still reaches stdout."""
+    recorded = []
+    write = cli._write
+    monkeypatch.setattr(cli, "_write", lambda text: recorded.append(text) or write(text))
+    return recorded
+
+
 def test_gen_reproduces_table(capsys):
     code, out, _ = run(capsys, "gen", "--count", "4")
     assert code == 0
@@ -169,12 +178,9 @@ def test_columns_render_as_the_row_template(fmt):
         assert cli._render_columns(template, [one, one * 0, one, one]) == expected
 
 
-def test_search_prints_columns_a_chunk_at_a_time(capsys, monkeypatch):
+def test_search_prints_columns_a_chunk_at_a_time(capsys, monkeypatch, writes):
     # int64 columns go through the renderer, one write per chunk; a value
     # past int64 keeps the per-row template
-    writes = []
-    write = cli._write
-    monkeypatch.setattr(cli, "_write", lambda text: writes.append(text) or write(text))
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 100)
     code, out, _ = run(capsys, "search", "--max-x", "60", "--threshold", "50")
     assert code == 0 and out == FIXTURE.read_text()
@@ -187,6 +193,25 @@ def test_search_prints_columns_a_chunk_at_a_time(capsys, monkeypatch):
     z = math.isqrt(2 * x**4)
     assert code == 0 and out == f"{x}\t{x}\t{z}\t{r}\n" and z > 2**63 and r > 2**63
     assert [type(w) for w in writes] == [str]
+
+
+@pytest.mark.parametrize(
+    "argv, batches",
+    [
+        (["verify", "--count", "250"], [100, 100, 50]),
+        (["gen", "--count", "250"], [100, 100, 50]),
+        (["closed-form", "--n", "5"], [13]),
+        (["identities"], None),  # the whole JSON document in one write
+    ],
+    ids=["verify", "gen", "closed-form", "identities"],
+)
+def test_each_command_writes_its_stdout_in_batches(capsys, monkeypatch, writes, argv, batches):
+    # every stdout line goes through _write, _BATCH_ROWS lines to a write
+    monkeypatch.setattr(cli, "_BATCH_ROWS", 100)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "".join(writes) == out
+    assert [len(w.splitlines()) for w in writes] == (batches or [len(out.splitlines())])
 
 
 def test_cli_matches_the_corpus_byte_for_byte(capsys):
@@ -246,12 +271,19 @@ def test_verify_depth_50(capsys):
     assert out.splitlines()[-1] == "n=49 ok"
 
 
-def test_verify_corrupted_seed_names_index(capsys, monkeypatch):
+def test_verify_corrupted_seed_names_index(capsys, monkeypatch, writes):
+    # the seed fails 248 of the 250 indices; the failures, counted as the
+    # lines go out in batches, set the exit code and the summary
     corrupted = ((22, 23, 718), sequences.INITIAL_TRIPLETS[1])
     monkeypatch.setattr(sequences, "INITIAL_TRIPLETS", corrupted)
-    code, out, _ = run(capsys, "verify", "--count", "3")
+    monkeypatch.setattr(cli, "_BATCH_ROWS", 100)
+    code, out, err = run(capsys, "verify", "--count", "250")
     assert code == 1
-    assert out.splitlines()[0].startswith("n=0 FAIL")
+    lines = out.splitlines()
+    assert lines[0].startswith("n=0 FAIL")
+    assert [len(w.splitlines()) for w in writes] == [100, 100, 50]
+    assert sum(" FAIL " in line for line in lines) == 248
+    assert "248 of 250 indices failed" in err
 
 
 @pytest.mark.parametrize(
@@ -604,10 +636,12 @@ def test_console_script_end_to_end():
         ["search", "--max-x", "400", "--threshold", "20000", "--workers", "2"],
         ["gen", "--count", "256"],  # one write batch of 223 KB
         ["search", "--max-x", "400", "--threshold", "20000", "--format", "jsonl"],
+        ["verify", "--count", "10000"],  # all of it would take about 25 s
     ],
 )
 def test_closed_pipe_exits_141_without_traceback(argv):
-    # each command prints far more than a 64 KB pipe buffer after the first line
+    # each command prints more than a 64 KB pipe buffer holds after the
+    # first line, and stops soon after the reader closes the pipe
     import subprocess
 
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -619,9 +653,11 @@ def test_closed_pipe_exits_141_without_traceback(argv):
     )
     assert proc.stdout.readline()
     proc.stdout.close()
+    closed = time.monotonic()
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
+    assert time.monotonic() - closed < 10
     assert "Traceback" not in err
 
 
